@@ -164,8 +164,7 @@ hyde::decomp::DecompSpec chart_spec(Manager& mgr, const Bdd& f, int num_vars,
   return spec;
 }
 
-/// Column counting at growing bound-set sizes: the recursive-cofactor
-/// reference vs whatever count_columns dispatches to in this kernel.
+/// Column counting at growing bound-set sizes.
 std::vector<WorkloadResult> bench_count_columns(int max_bound) {
   const int n = 14;
   std::vector<WorkloadResult> results;
@@ -182,14 +181,6 @@ std::vector<WorkloadResult> bench_count_columns(int max_bound) {
     res.seconds = seconds_since(start);
     res.checksum = static_cast<std::uint64_t>(count);
     results.push_back(res);
-
-    WorkloadResult cut;
-    cut.name = "count_columns_cut_x" + std::to_string(bound_size);
-    const auto cut_start = std::chrono::steady_clock::now();
-    const int cut_count = hyde::decomp::count_columns_via_cut(spec);
-    cut.seconds = seconds_since(cut_start);
-    cut.checksum = static_cast<std::uint64_t>(cut_count);
-    results.push_back(cut);
   }
   return results;
 }

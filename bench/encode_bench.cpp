@@ -1,16 +1,10 @@
 /// \file encode_bench.cpp
 /// \brief Classes-and-encoding benchmark: times compatible-class computation
-/// and the Figure-3 encoder under the engine's configurations, and emits
-/// JSON rows for BENCH_encode.json.
+/// and the Figure-3 encoder, and emits JSON rows for BENCH_encode.json.
 ///
-/// The "plain" configuration is the seed code path: column compatibility by
-/// per-pair BDD disjointness (off() recomputed per pair in the seed; here the
-/// hoisted form, which is checksum-identical), clique partitioning by the
-/// recount-from-scratch reference, and a serial encoder.  The other
-/// configurations layer on the packed row-signature compatibility test, the
-/// incrementally maintained clique partitioner and the snapshot-parallel
-/// encoder Steps 4 and 8.  Every configuration of the same workload must
-/// produce the identical checksum — the harness verifies this itself and
+/// Every workload carries a checksum that is pinned to the value the engine
+/// has produced since the packed-signature compatibility test and the
+/// incremental clique partitioner replaced the seed code path; the harness
 /// fails (exit 1) on any mismatch, so a committed BENCH_encode.json is also
 /// a functional-equivalence proof for the machine that produced it.
 ///
@@ -20,10 +14,7 @@
 ///     encode_bench --quick                                    (CI smoke)
 ///
 /// Checksums are FNV-1a mixes of the class column lists, the chosen codes
-/// and the encoder trace geometry — invariants the knobs must never change.
-/// The JSON additionally reports, per configuration, the summed seconds over
-/// all workloads and the speedup against "plain" (the combined
-/// classes+encoding phase ratio).
+/// and the encoder trace geometry.
 
 #include <chrono>
 #include <cstdint>
@@ -62,37 +53,21 @@ std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t value) {
 
 struct WorkloadResult {
   std::string name;
-  std::string tag;
   double seconds = 0.0;
-  std::uint64_t checksum = 0;  ///< config-independent functional invariant
+  std::uint64_t checksum = 0;
+};
+
+/// Pinned checksums, full and quick mode (the quick run uses smaller charts).
+const std::map<std::string, std::uint64_t> kExpected = {
+    {"classes_x13", 117128217722779125ull},
+    {"classes_x11", 13007615856987028339ull},
+    {"encode_x9", 3583725596778359070ull},
+    {"encode_x7", 11761196744699862907ull},
 };
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
       .count();
-}
-
-/// An engine configuration under test.  "plain" reproduces the seed path.
-struct EngineConfig {
-  const char* tag;
-  bool signatures;
-  bool reference_clique;
-  int threads;
-};
-
-const EngineConfig kConfigs[] = {
-    {"plain", false, true, 1},
-    {"signatures", true, true, 1},
-    {"incremental", true, false, 1},
-    {"parallel2", true, false, 2},
-    {"parallel4", true, false, 4},
-};
-
-hyde::decomp::ClassComputeOptions class_options(const EngineConfig& config) {
-  hyde::decomp::ClassComputeOptions options;
-  options.use_signatures = config.signatures;
-  options.use_reference_clique = config.reference_clique;
-  return options;
 }
 
 /// A DC-rich random decomposition instance. Minterms are on with probability
@@ -136,13 +111,11 @@ std::uint64_t fold_classes(std::uint64_t checksum,
 
 /// Compatible-class computation over wide DC-rich charts: the pairwise
 /// compatibility test (quadratic in columns) and the clique partitioner are
-/// the whole cost; the signature and incremental paths attack exactly those.
-WorkloadResult bench_classes(const EngineConfig& config, int num_vars,
-                             int bound_vars, int functions, int rounds) {
+/// the whole cost.
+WorkloadResult bench_classes(int num_vars, int bound_vars, int functions,
+                             int rounds) {
   WorkloadResult result;
-  result.name = "classes_x" + std::to_string(num_vars) + "_" + config.tag;
-  result.tag = config.tag;
-  const auto options = class_options(config);
+  result.name = "classes_x" + std::to_string(num_vars);
   std::uint64_t checksum = 0xCBF29CE484222325ull;
   const auto start = std::chrono::steady_clock::now();
   for (int r = 0; r < rounds; ++r) {
@@ -152,7 +125,7 @@ WorkloadResult bench_classes(const EngineConfig& config, int num_vars,
       const auto spec = random_spec(mgr, num_vars, bound_vars, /*on_mod=*/5,
                                     /*dc_mod=*/2, state);
       const auto classes = hyde::decomp::compute_compatible_classes(
-          spec, hyde::decomp::DcPolicy::kCliquePartition, options);
+          spec, hyde::decomp::DcPolicy::kCliquePartition);
       checksum = fold_classes(checksum, classes);
     }
   }
@@ -161,15 +134,12 @@ WorkloadResult bench_classes(const EngineConfig& config, int num_vars,
   return result;
 }
 
-/// Class computation followed by the full Figure-3 encoder (Steps 1-9): the
-/// configured class engine also backs the encoder's Step-8 image-class
-/// counts, and the thread knob engages the snapshot-parallel Steps 4 and 8.
-WorkloadResult bench_encode(const EngineConfig& config, int num_vars,
-                            int bound_vars, int functions, int rounds) {
+/// Class computation followed by the full Figure-3 encoder (Steps 1-9),
+/// whose Step-8 image-class counts run through the same class engine.
+WorkloadResult bench_encode(int num_vars, int bound_vars, int functions,
+                            int rounds) {
   WorkloadResult result;
-  result.name = "encode_x" + std::to_string(num_vars) + "_" + config.tag;
-  result.tag = config.tag;
-  const auto options = class_options(config);
+  result.name = "encode_x" + std::to_string(num_vars);
   std::uint64_t checksum = 0xCBF29CE484222325ull;
   const auto start = std::chrono::steady_clock::now();
   for (int r = 0; r < rounds; ++r) {
@@ -180,7 +150,7 @@ WorkloadResult bench_encode(const EngineConfig& config, int num_vars,
       const auto spec = random_spec(mgr, num_vars, bound_vars, /*on_mod=*/3,
                                     /*dc_mod=*/4, state);
       const auto classes = hyde::decomp::compute_compatible_classes(
-          spec, hyde::decomp::DcPolicy::kCliquePartition, options);
+          spec, hyde::decomp::DcPolicy::kCliquePartition);
       checksum = fold_classes(checksum, classes);
       if (classes.num_classes() < 2) continue;
       std::vector<int> alpha_vars;
@@ -190,8 +160,6 @@ WorkloadResult bench_encode(const EngineConfig& config, int num_vars,
       hyde::core::EncoderOptions enc;
       enc.k = 4;  // small κ forces the non-trivial Steps 3-8 to run
       enc.seed = static_cast<std::uint64_t>(i) + 1;
-      enc.class_options = options;
-      enc.threads = config.threads;
       const auto choice = hyde::core::encode_classes(mgr, classes, spec.free,
                                                      alpha_vars, enc);
       checksum = fnv1a(checksum, static_cast<std::uint64_t>(choice.encoding.num_bits));
@@ -225,21 +193,17 @@ void append_json(std::string& out, const WorkloadResult& r, bool last) {
   out += buf;
 }
 
-/// Workloads with the same base name must agree on the checksum across every
-/// engine configuration; returns false (and reports) on any divergence.
-bool checksums_agree(const std::vector<WorkloadResult>& results) {
-  std::map<std::string, std::uint64_t> expected;
+/// Every workload must reproduce its pinned checksum; returns false (and
+/// reports) on any divergence.
+bool checksums_match(const std::vector<WorkloadResult>& results) {
   bool ok = true;
   for (const auto& r : results) {
-    const std::size_t cut = r.name.rfind('_');
-    const std::string base = r.name.substr(0, cut);
-    const auto [it, inserted] = expected.emplace(base, r.checksum);
-    if (!inserted && it->second != r.checksum) {
+    const std::uint64_t expected = kExpected.at(r.name);
+    if (r.checksum != expected) {
       std::fprintf(stderr,
                    "encode_bench: checksum mismatch for %s (%llu != %llu)\n",
-                   r.name.c_str(),
-                   static_cast<unsigned long long>(r.checksum),
-                   static_cast<unsigned long long>(it->second));
+                   r.name.c_str(), static_cast<unsigned long long>(r.checksum),
+                   static_cast<unsigned long long>(expected));
       ok = false;
     }
   }
@@ -280,47 +244,18 @@ int main(int argc, char** argv) {
   const int encode_functions = quick ? 2 : 5;
   const int encode_rounds = quick ? 1 : 3;
 
-  std::vector<WorkloadResult> results;
-  for (const EngineConfig& config : kConfigs) {
-    results.push_back(bench_classes(config, classes_vars, classes_bound,
-                                    classes_functions, classes_rounds));
-  }
-  for (const EngineConfig& config : kConfigs) {
-    results.push_back(bench_encode(config, encode_vars, encode_bound,
-                                   encode_functions, encode_rounds));
-  }
+  const std::vector<WorkloadResult> results = {
+      bench_classes(classes_vars, classes_bound, classes_functions,
+                    classes_rounds),
+      bench_encode(encode_vars, encode_bound, encode_functions, encode_rounds),
+  };
 
-  if (!checksums_agree(results)) return 1;
-
-  // Combined classes+encoding seconds per configuration, and the speedup
-  // each configuration achieves over the seed-equivalent "plain" path.
-  std::map<std::string, double> totals;
-  for (const auto& r : results) totals[r.tag] += r.seconds;
-  const double plain_total = totals["plain"];
+  if (!checksums_match(results)) return 1;
 
   std::string json;
   json += "{\n";
-  json += "  \"schema\": \"hyde.bench_encode.v1\",\n";
+  json += "  \"schema\": \"hyde.bench_encode.v2\",\n";
   json += "  \"engine\": \"" + label + "\",\n";
-  json += "  \"configs\": [";
-  for (std::size_t i = 0; i < std::size(kConfigs); ++i) {
-    json += std::string("\"") + kConfigs[i].tag + "\"";
-    if (i + 1 < std::size(kConfigs)) json += ", ";
-  }
-  json += "],\n";
-  json += "  \"totals\": [\n";
-  for (std::size_t i = 0; i < std::size(kConfigs); ++i) {
-    const double total = totals[kConfigs[i].tag];
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"config\": \"%s\", \"seconds\": %.6f, "
-                  "\"speedup_vs_plain\": %.3f}%s\n",
-                  kConfigs[i].tag, total,
-                  total > 0.0 ? plain_total / total : 0.0,
-                  i + 1 < std::size(kConfigs) ? "," : "");
-    json += buf;
-  }
-  json += "  ],\n";
   json += "  \"workloads\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     append_json(json, results[i], i + 1 == results.size());

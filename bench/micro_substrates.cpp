@@ -126,24 +126,6 @@ void BM_BlossomMatching(benchmark::State& state) {
 }
 BENCHMARK(BM_BlossomMatching)->Arg(16)->Arg(64)->Arg(128);
 
-void BM_CountColumnsCutVsEnum(benchmark::State& state) {
-  // state.range(0): 0 = enumeration, 1 = BDD-cut method ([2]).
-  bdd::Manager mgr(16);
-  const auto f = mgr.from_truth_table(random_table(14, 21));
-  decomp::DecompSpec spec;
-  spec.mgr = &mgr;
-  spec.f = decomp::IsfBdd{f, mgr.zero()};
-  for (int v = 0; v < 14; ++v) {
-    (v < 7 ? spec.bound : spec.free).push_back(v);
-  }
-  const bool use_cut = state.range(0) == 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(use_cut ? decomp::count_columns_via_cut(spec)
-                                     : decomp::count_columns(spec));
-  }
-}
-BENCHMARK(BM_CountColumnsCutVsEnum)->Arg(0)->Arg(1);
-
 void BM_ChartAssembly(benchmark::State& state) {
   // Example 3.2's ten partitions, the canonical encoder workload.
   const std::vector<decomp::Partition> partitions = {

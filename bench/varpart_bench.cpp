@@ -1,16 +1,13 @@
 /// \file varpart_bench.cpp
 /// \brief Bound-set search benchmark: times the greedy variable-partition
-/// engine (decomp::BoundSetSearch) and whole HYDE flows under the engine's
-/// configurations, and emits JSON rows for BENCH_varpart.json.
+/// engine (decomp::BoundSetSearch) and whole HYDE flows, and emits JSON rows
+/// for BENCH_varpart.json.
 ///
-/// The "plain" configuration (serial, no chart memo, no bounded-count
-/// pruning) is the seed code path: it evaluates every candidate with a full
-/// column count, exactly like the historical select_bound_set.  The other
-/// configurations layer on the memo, the monotone lower-bound pruning and
-/// snapshot-parallel candidate evaluation.  Every configuration of the same
-/// workload must produce the identical checksum — the harness verifies this
-/// itself and fails (exit 1) on any mismatch, so a committed BENCH_varpart.json
-/// is also a functional-equivalence proof for the machine that produced it.
+/// Every workload carries a checksum that is pinned to the value the engine
+/// has produced since the memoized, pruned search replaced the plain greedy
+/// loop; the harness fails (exit 1) on any mismatch, so a committed
+/// BENCH_varpart.json is also a functional-equivalence proof for the machine
+/// that produced it.
 ///
 /// Protocol:
 ///
@@ -18,8 +15,7 @@
 ///     varpart_bench --quick                                      (CI smoke)
 ///
 /// Checksums are FNV-1a mixes of the selected bound sets, compatible-class
-/// counts and the mapped networks' BLIF text — function-level invariants that
-/// the engine's knobs must never change.
+/// counts and the mapped networks' BLIF text.
 
 #include <chrono>
 #include <cstdint>
@@ -76,7 +72,20 @@ std::uint64_t fnv1a_string(std::uint64_t hash, const std::string& text) {
 struct WorkloadResult {
   std::string name;
   double seconds = 0.0;
-  std::uint64_t checksum = 0;  ///< config-independent functional invariant
+  std::uint64_t checksum = 0;
+};
+
+/// Pinned checksums, full and quick mode (the quick run uses a 12-variable
+/// re-search workload and a subset of the circuits).
+const std::map<std::string, std::uint64_t> kExpected = {
+    {"greedy_research_x14", 5587587915482528037ull},
+    {"greedy_research_x12", 11899183647479969957ull},
+    {"flow_5xp1", 17060763005454109403ull},
+    {"flow_rd73", 2641502980892965035ull},
+    {"flow_misex1", 1336087514377917155ull},
+    {"flow_duke2", 16964606724875065371ull},
+    {"flow_alu2", 14778523791857249760ull},
+    {"flow_vg2", 2727697523335762121ull},
 };
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -84,37 +93,12 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// An engine configuration under test.  "plain" reproduces the seed path.
-struct EngineConfig {
-  const char* tag;
-  int threads;
-  bool memo;
-  bool pruning;
-};
-
-const EngineConfig kConfigs[] = {
-    {"plain", 1, false, false},
-    {"pruned", 1, false, true},
-    {"memo", 1, true, true},
-    {"parallel2", 2, true, true},
-    {"parallel4", 4, true, true},
-};
-
-hyde::decomp::SearchOptions search_options(const EngineConfig& config) {
-  hyde::decomp::SearchOptions options;
-  options.threads = config.threads;
-  options.use_memo = config.memo;
-  options.use_pruning = config.pruning;
-  return options;
-}
-
 /// Greedy bound-set selection over random functions, replaying the flow's
 /// re-search pattern: every function is partitioned at bound sizes k down
 /// to 2, which is exactly the sequence the decomposer retries when a trial
-/// fails — the memoized engine answers the shared greedy prefix from the
-/// chart memo instead of recounting columns.
-WorkloadResult bench_greedy_research(const EngineConfig& config, int num_vars,
-                                     int functions, int rounds) {
+/// fails — the engine answers the shared greedy prefix from its chart memo
+/// instead of recounting columns.
+WorkloadResult bench_greedy_research(int num_vars, int functions, int rounds) {
   Manager mgr(num_vars);
   std::uint64_t state = 0x5EA2C4 + static_cast<std::uint64_t>(num_vars);
   std::vector<Bdd> pool;
@@ -124,11 +108,10 @@ WorkloadResult bench_greedy_research(const EngineConfig& config, int num_vars,
   std::vector<int> support;
   for (int v = 0; v < num_vars; ++v) support.push_back(v);
 
-  hyde::decomp::BoundSetSearch search(mgr, search_options(config));
+  hyde::decomp::BoundSetSearch search(mgr);
 
   WorkloadResult result;
-  result.name = "greedy_research_x" + std::to_string(num_vars) + "_" +
-                config.tag;
+  result.name = "greedy_research_x" + std::to_string(num_vars);
   const auto start = std::chrono::steady_clock::now();
   std::uint64_t checksum = 0xCBF29CE484222325ull;
   for (int r = 0; r < rounds; ++r) {
@@ -153,18 +136,15 @@ WorkloadResult bench_greedy_research(const EngineConfig& config, int num_vars,
 }
 
 /// Whole HYDE flow (decomposition + encoding, no mapping) over a registry
-/// circuit with the engine knobs wired through FlowOptions.
-WorkloadResult bench_flow(const EngineConfig& config, const std::string& circuit) {
+/// circuit.
+WorkloadResult bench_flow(const std::string& circuit) {
   const hyde::net::Network input = hyde::mcnc::make_circuit(circuit);
 
   WorkloadResult result;
-  result.name = "flow_" + circuit + "_" + config.tag;
+  result.name = "flow_" + circuit;
   const auto start = std::chrono::steady_clock::now();
-  hyde::core::FlowOptions options = hyde::core::hyde_options(5);
-  options.search_threads = config.threads;
-  options.search_memo = config.memo;
-  options.search_pruning = config.pruning;
-  hyde::core::FlowResult flow = hyde::core::run_flow(input, options);
+  hyde::core::FlowResult flow =
+      hyde::core::run_flow(input, hyde::core::hyde_options(5));
   result.seconds = seconds_since(start);
 
   std::ostringstream blif;
@@ -185,21 +165,17 @@ void append_json(std::string& out, const WorkloadResult& r, bool last) {
   out += buf;
 }
 
-/// Workloads with the same base name must agree on the checksum across every
-/// engine configuration; returns false (and reports) on any divergence.
-bool checksums_agree(const std::vector<WorkloadResult>& results) {
-  std::map<std::string, std::uint64_t> expected;
+/// Every workload must reproduce its pinned checksum; returns false (and
+/// reports) on any divergence.
+bool checksums_match(const std::vector<WorkloadResult>& results) {
   bool ok = true;
   for (const auto& r : results) {
-    const std::size_t cut = r.name.rfind('_');
-    const std::string base = r.name.substr(0, cut);
-    const auto [it, inserted] = expected.emplace(base, r.checksum);
-    if (!inserted && it->second != r.checksum) {
+    const std::uint64_t expected = kExpected.at(r.name);
+    if (r.checksum != expected) {
       std::fprintf(stderr,
                    "varpart_bench: checksum mismatch for %s (%llu != %llu)\n",
-                   r.name.c_str(),
-                   static_cast<unsigned long long>(r.checksum),
-                   static_cast<unsigned long long>(it->second));
+                   r.name.c_str(), static_cast<unsigned long long>(r.checksum),
+                   static_cast<unsigned long long>(expected));
       ok = false;
     }
   }
@@ -236,27 +212,17 @@ int main(int argc, char** argv) {
                                        "alu2", "vg2"};
 
   std::vector<WorkloadResult> results;
-  for (const EngineConfig& config : kConfigs) {
-    results.push_back(bench_greedy_research(config, num_vars, functions, rounds));
-  }
+  results.push_back(bench_greedy_research(num_vars, functions, rounds));
   for (const std::string& circuit : circuits) {
-    for (const EngineConfig& config : kConfigs) {
-      results.push_back(bench_flow(config, circuit));
-    }
+    results.push_back(bench_flow(circuit));
   }
 
-  if (!checksums_agree(results)) return 1;
+  if (!checksums_match(results)) return 1;
 
   std::string json;
   json += "{\n";
-  json += "  \"schema\": \"hyde.bench_varpart.v1\",\n";
+  json += "  \"schema\": \"hyde.bench_varpart.v2\",\n";
   json += "  \"engine\": \"" + label + "\",\n";
-  json += "  \"configs\": [";
-  for (std::size_t i = 0; i < std::size(kConfigs); ++i) {
-    json += std::string("\"") + kConfigs[i].tag + "\"";
-    if (i + 1 < std::size(kConfigs)) json += ", ";
-  }
-  json += "],\n";
   json += "  \"workloads\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     append_json(json, results[i], i + 1 == results.size());

@@ -1,11 +1,10 @@
 /// Tour of the BDD substrate: building functions, canonical equality,
-/// quantification, satisfy counts, static reordering and Graphviz export.
+/// quantification, satisfy counts, dynamic reordering and Graphviz export.
 /// (The decomposition engine sits on exactly these primitives.)
 
 #include <cstdio>
 
 #include "bdd/bdd.hpp"
-#include "bdd/reorder.hpp"
 #include "tt/truth_table.hpp"
 
 int main() {
@@ -34,18 +33,17 @@ int main() {
   std::printf("exists(b): reduces to 'a != 0': %s\n",
               any_b == a_nonzero ? "yes" : "no");
 
-  // Static reordering: the blocked order is exponential, sifting finds the
-  // interleaved one.
-  const auto sift = bdd::sift_order(mgr, f, 3);
-  std::printf("sifting: %zu nodes -> %zu nodes in %d rounds; order:",
-              sift.initial_nodes, sift.final_nodes, sift.rounds_used);
-  for (int v : sift.order) std::printf(" x%d", v);
+  // Dynamic reordering: the blocked order is exponential, in-place sifting
+  // finds the interleaved one. Every handle stays valid; only levels move.
+  const std::size_t before = mgr.node_count(f);
+  mgr.reorder_sift();
+  std::printf("sifting: %zu nodes -> %zu nodes; order:", before,
+              mgr.node_count(f));
+  for (int v : mgr.current_order()) std::printf(" x%d", v);
   std::printf("\n");
 
   // Graphviz dump of the small reordered BDD.
-  bdd::Manager pretty(static_cast<int>(sift.order.size()));
-  const bdd::Bdd moved = bdd::apply_order(f, pretty, sift.order);
-  const std::string dot = pretty.to_dot(moved, "comparator");
+  const std::string dot = mgr.to_dot(f, "comparator");
   std::printf("\n%s", dot.c_str());
   std::printf("(pipe through `dot -Tpng` to render)\n");
   return 0;

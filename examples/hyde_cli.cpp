@@ -12,9 +12,6 @@
 ///                 classes / encoding / mapping) plus search-engine counters;
 ///                 the same numbers always land in the volatile RunReport
 ///                 JSON/CSV sections regardless of this flag
-///   --search-threads <n>  parallelize candidate bound-set evaluation inside
-///                 each flow (decomp/search.hpp; results are bit-identical
-///                 at any thread count)
 ///   --reorder <m>  dynamic BDD variable reordering: off (default), sift
 ///                 (soft-budget ladder) or auto (adds the growth trigger);
 ///                 see docs/REORDER.md. Result-affecting: runs with
@@ -28,8 +25,8 @@
 /// Flow-shaping knobs (single-circuit and --in windowed runs; they override
 /// the -s system preset, so e.g. `-s hyde --encoding random` is HYDE with
 /// Step-1 random encoding only). Batch mode runs the preset systems as
-/// published and rejects these, except --cache-max-support and
-/// --no-class-signatures which map onto batch options:
+/// published and rejects these, except --cache-max-support which maps onto a
+/// batch option:
 ///
 ///   --encoding random|classes|cubes   class-encoding policy
 ///   --dc-policy columns|clique        DC assignment (distinct columns vs
@@ -41,10 +38,6 @@
 ///   --collapse-support <n>  PI-count threshold for collapse mode
 ///   --passes <n>          flow re-applications (default 1)
 ///   --cache-max-support <n>  NPN-cache support ceiling (default 7)
-///   --no-search-memo      disable chart-column memoization
-///   --no-search-pruning   disable incumbent-based chart pruning
-///   --no-class-signatures force per-pair BDD compatibility tests
-///   --signature-rows <n>  row-space bound for the signature fast path
 ///   --node-limit <n>      live-BDD-node hard cap (0 = unlimited)
 ///   --tear-penalty <x>    encoder tearing-penalty weight (default 1.0)
 ///
@@ -73,6 +66,10 @@
 ///                     observed cache hits) from the JSON output, leaving the
 ///                     schedule-independent subset
 ///   --no-cache        disable the shared NPN decomposition cache
+///
+/// Parallelism lives between flows (--workers) and between windows
+/// (--window-threads); each flow runs its bound-set search and encoder on
+/// one thread.
 ///
 /// Persistent cache (all three modes; docs/CACHE.md): a fingerprint-keyed
 /// on-disk store (src/store/) layered behind the in-memory NPN cache. Warm
@@ -128,7 +125,6 @@ int usage() {
   std::fprintf(stderr,
                "usage: hyde_cli [-k n] [-s hyde|imodec|fgsyn|rk|rk-resub|all] "
                "[-o out.blif] [--pla-out out.pla] [--no-verify] [--profile] "
-               "[--search-threads n] [--encoder-threads n] "
                "[--reorder off|sift|auto] [--reorder-max-growth x] "
                "[--manager-pool] [flow knobs] "
                "<circuit.blif|circuit.pla|@benchmark>\n"
@@ -136,15 +132,13 @@ int usage() {
                "[--dc-policy columns|clique] [--no-hyper] "
                "[--group-choice auto|always|never] [--ppi-hard-mu] "
                "[--max-group-size n] [--collapse-support n] [--passes n] "
-               "[--cache-max-support n] [--no-search-memo] "
-               "[--no-search-pruning] [--no-class-signatures] "
-               "[--signature-rows n] [--node-limit n] [--tear-penalty x]\n"
+               "[--cache-max-support n] [--node-limit n] [--tear-penalty x]\n"
                "       hyde_cli --batch [--circuits a,b,c] [-k n] "
                "[-s system|all] [--workers n] "
                "[--seed n] [--json file] [--csv file] [--deterministic-json] "
-               "[--no-cache] [--no-verify] [--profile] [--search-threads n] "
-               "[--encoder-threads n] [--reorder off|sift|auto] "
-               "[--reorder-max-growth x] [--manager-pool]\n"
+               "[--no-cache] [--no-verify] [--profile] "
+               "[--reorder off|sift|auto] [--reorder-max-growth x] "
+               "[--manager-pool]\n"
                "       hyde_cli --in circuit.blif [-k n] [-s system] "
                "[-o out.blif] [--window-inputs n] [--window-nodes n] "
                "[--window-threads n] [--reorder off|sift|auto] "
@@ -270,10 +264,6 @@ struct FlowOverrides {
   int max_collapse_support = 0;  ///< 0 = unset
   int passes = 0;                ///< 0 = unset
   int cache_max_support = -1;    ///< -1 = unset
-  bool no_search_memo = false;
-  bool no_search_pruning = false;
-  bool no_class_signatures = false;
-  int class_signature_rows = 0;  ///< 0 = unset
   bool has_node_limit = false;
   std::size_t bdd_node_limit = 0;
   bool has_tear_penalty = false;
@@ -291,12 +281,6 @@ struct FlowOverrides {
     }
     if (passes > 0) o->passes = passes;
     if (cache_max_support >= 0) o->cache_max_support = cache_max_support;
-    if (no_search_memo) o->search_memo = false;
-    if (no_search_pruning) o->search_pruning = false;
-    if (no_class_signatures) o->class_signatures = false;
-    if (class_signature_rows > 0) {
-      o->class_signature_rows = class_signature_rows;
-    }
     if (has_node_limit) o->bdd_node_limit = bdd_node_limit;
     if (has_tear_penalty) o->tear_penalty_scale = tear_penalty_scale;
   }
@@ -343,9 +327,8 @@ void print_store_summary(std::uint64_t disk_hits, std::uint64_t disk_misses,
 int run_batch_mode(const std::string& system_name, int k, int workers,
                    std::uint64_t seed, bool verify, bool use_cache,
                    const std::string& json_path, const std::string& csv_path,
-                   bool deterministic_json, bool profile, int search_threads,
-                   int encoder_threads, int cache_max_support,
-                   bool class_signatures, hyde::bdd::ReorderMode reorder,
+                   bool deterministic_json, bool profile,
+                   int cache_max_support, hyde::bdd::ReorderMode reorder,
                    double reorder_max_growth, bool manager_pool,
                    const std::string& cache_dir, bool cache_readonly,
                    std::uint64_t cache_max_bytes,
@@ -384,9 +367,6 @@ int run_batch_mode(const std::string& system_name, int k, int workers,
   options.verify_vectors = verify ? 128 : 0;
   options.use_cache = use_cache;
   options.cache_max_support = cache_max_support;
-  options.search_threads = search_threads;
-  options.encoder_threads = encoder_threads;
-  options.class_signatures = class_signatures;
   options.reorder = reorder;
   options.reorder_max_growth = reorder_max_growth;
   options.manager_pool = manager_pool;
@@ -478,8 +458,6 @@ int main(int argc, char** argv) {
   bool deterministic_json = false;
   bool profile = false;
   int workers = runtime::default_worker_count();
-  int search_threads = 1;
-  int encoder_threads = 1;
   std::uint64_t seed = 1;
   std::string in_file;
   int window_inputs = 12;
@@ -554,26 +532,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       seed = static_cast<std::uint64_t>(value);
-    } else if (arg == "--search-threads" && i + 1 < argc) {
-      long value = 0;
-      if (!parse_long(argv[++i], &value) || value < 1 || value > 256) {
-        std::fprintf(stderr,
-                     "error: --search-threads expects an integer in 1..256, "
-                     "got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
-      search_threads = static_cast<int>(value);
-    } else if (arg == "--encoder-threads" && i + 1 < argc) {
-      long value = 0;
-      if (!parse_long(argv[++i], &value) || value < 1 || value > 256) {
-        std::fprintf(stderr,
-                     "error: --encoder-threads expects an integer in 1..256, "
-                     "got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
-      encoder_threads = static_cast<int>(value);
     } else if (arg == "--in" && i + 1 < argc) {
       in_file = argv[++i];
     } else if (arg == "--window-inputs" && i + 1 < argc) {
@@ -702,26 +660,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       cache_max_bytes = static_cast<std::uint64_t>(value);
-    } else if (arg == "--no-search-memo") {
-      ov.no_search_memo = true;
-      if (shape_flag.empty()) shape_flag = arg;
-    } else if (arg == "--no-search-pruning") {
-      ov.no_search_pruning = true;
-      if (shape_flag.empty()) shape_flag = arg;
-    } else if (arg == "--no-class-signatures") {
-      ov.no_class_signatures = true;
-    } else if (arg == "--signature-rows" && i + 1 < argc) {
-      long value = 0;
-      if (!parse_long(argv[++i], &value) || value < 1 ||
-          value > (1L << 24)) {
-        std::fprintf(stderr,
-                     "error: --signature-rows expects an integer in "
-                     "1..16777216, got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
-      ov.class_signature_rows = static_cast<int>(value);
-      if (shape_flag.empty()) shape_flag = arg;
     } else if (arg == "--node-limit" && i + 1 < argc) {
       long value = 0;
       if (!parse_long(argv[++i], &value) || value < 0) {
@@ -819,17 +757,15 @@ int main(int argc, char** argv) {
     if (!shape_flag.empty()) {
       std::fprintf(stderr,
                    "error: %s shapes a single flow; --batch runs the preset "
-                   "systems as published (only --cache-max-support and "
-                   "--no-class-signatures carry over to batch options)\n",
+                   "systems as published (only --cache-max-support carries "
+                   "over to batch options)\n",
                    shape_flag.c_str());
       return 2;
     }
     return run_batch_mode(system_name, k, workers, seed, verify, use_cache,
                           json_path, csv_path, deterministic_json, profile,
-                          search_threads, encoder_threads,
                           ov.cache_max_support >= 0 ? ov.cache_max_support : 7,
-                          !ov.no_class_signatures, reorder,
-                          reorder_max_growth, manager_pool, cache_dir,
+                          reorder, reorder_max_growth, manager_pool, cache_dir,
                           cache_readonly, cache_max_bytes, batch_circuits);
   }
 
@@ -869,8 +805,6 @@ int main(int argc, char** argv) {
     part::WindowedFlowOptions options;
     options.flow = baseline::system_flow_options(system, k);
     options.flow.seed = seed;
-    options.flow.search_threads = search_threads;
-    options.flow.encoder_threads = encoder_threads;
     options.flow.reorder = reorder;
     options.flow.reorder_max_growth = reorder_max_growth;
     ov.apply(&options.flow);
@@ -1022,8 +956,6 @@ int main(int argc, char** argv) {
       continue;
     }
     core::FlowOptions flow_options = baseline::system_flow_options(system, k);
-    flow_options.search_threads = search_threads;
-    flow_options.encoder_threads = encoder_threads;
     flow_options.reorder = reorder;
     flow_options.reorder_max_growth = reorder_max_growth;
     flow_options.manager_pool = manager_pool ? &single_run_pool : nullptr;

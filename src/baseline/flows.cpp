@@ -41,17 +41,13 @@ core::FlowOptions system_flow_options(System system, int k) {
 BaselineResult run_system(const net::Network& input, System system, int k,
                           int verify_vectors, std::uint64_t seed,
                           core::DecompCache* cache, int cache_max_support,
-                          int search_threads, int encoder_threads,
-                          bool class_signatures, bdd::ReorderMode reorder,
+                          bdd::ReorderMode reorder,
                           double reorder_max_growth,
                           bdd::ManagerPool* manager_pool) {
   core::FlowOptions options = system_flow_options(system, k);
   options.seed = seed;
   options.cache = cache;
   options.cache_max_support = cache_max_support;
-  options.search_threads = search_threads;
-  options.encoder_threads = encoder_threads;
-  options.class_signatures = class_signatures;
   options.reorder = reorder;
   options.reorder_max_growth = reorder_max_growth;
   options.manager_pool = manager_pool;

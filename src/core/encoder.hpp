@@ -52,19 +52,9 @@ struct EncoderOptions {
   /// select_bound_set; either way the selected λ' is identical — the engine
   /// only adds memo reuse across the flow's repeated searches.
   decomp::BoundSetSearch* search = nullptr;
-  /// Engine knobs for every compatible-class computation the encoder runs
-  /// (the Step-8 image-class counts). Result-neutral.
-  // hyde-knob-ok: composite the flow fills from CLI-reachable FlowOptions.
-  decomp::ClassComputeOptions class_options;
-  /// Worker threads for the snapshot-parallel Step 4 (per-class Π
-  /// computation) and Step 8 (random-vs-structured image-class counts).
-  /// Result-neutral: every thread count produces identical encodings — the
-  /// parallel paths reduce in class-index order and fall back to the serial
-  /// code on any worker failure.
-  int threads = 1;
-  /// Optional volatile counter: encoder tasks dispatched to worker threads.
+  /// Optional counter sink for the Step-8 image-class computations.
   // hyde-knob-ok: counter sink; totals surface via FlowStats, not a flag.
-  std::uint64_t* parallel_tasks = nullptr;
+  decomp::ClassStats* class_stats = nullptr;
 };
 
 /// One Psc record of the Figure 4 table.

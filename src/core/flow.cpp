@@ -28,15 +28,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-decomp::SearchOptions search_options_from(const FlowOptions& options) {
-  decomp::SearchOptions s;
-  s.threads = options.search_threads;
-  s.use_memo = options.search_memo;
-  s.use_pruning = options.search_pruning;
-  s.memo_capacity = options.search_memo_capacity;
-  return s;
-}
-
 /// Digest of every FlowOptions knob that shapes a cached template
 /// decomposition. Part of the cache key: runs with different policies never
 /// share entries (job seeds deliberately excluded — templates derive their
@@ -91,7 +82,7 @@ class Decomposer {
                            ? cache_ceiling
                            : std::min(options.cache_max_support,
                                       tt::kMaxExactNpnVars)),
-        search_(gm, search_options_from(options)) {}
+        search_(gm) {}
 
   /// The flow-lifetime bound-set search engine: its memo spans every
   /// decomposition step and encoder trial over gm_. The engine's counters
@@ -99,26 +90,8 @@ class Decomposer {
   /// seconds become the varpart phase).
   decomp::BoundSetSearch& search() { return search_; }
 
-  /// Class-computation knobs bound to this decomposer's counter sink.
-  decomp::ClassComputeOptions class_options() {
-    decomp::ClassComputeOptions c;
-    c.use_signatures = options_.class_signatures;
-    c.signature_max_rows = options_.class_signature_rows;
-    c.stats = &class_stats_;
-    return c;
-  }
-  const decomp::ClassStats& class_stats() const { return class_stats_; }
-  std::uint64_t encoder_parallel_tasks() const {
-    return encoder_parallel_tasks_;
-  }
-
-  /// Threads the flow's encoder-engine knobs (worker threads, class-engine
-  /// options) and counter sinks into an EncoderOptions.
-  void fill_encoder_engine(EncoderOptions* enc) {
-    enc->threads = options_.encoder_threads;
-    enc->class_options = class_options();
-    enc->parallel_tasks = &encoder_parallel_tasks_;
-  }
+  /// Counter sink for every class computation this decomposer runs.
+  decomp::ClassStats& class_stats() { return class_stats_; }
 
   /// Declares that manager variable \p var is computed by network node.
   void map_var(int var, net::NodeId node) { var_node_[var] = node; }
@@ -161,7 +134,7 @@ class Decomposer {
       const auto classes_start = std::chrono::steady_clock::now();
       const int classes =
           decomp::count_compatible_classes(spec, options_.dc_policy,
-                                           class_options());
+                                           &class_stats_);
       stats_.classes_seconds += seconds_since(classes_start);
       if (bits_for(classes) < static_cast<int>(preferred.size())) {
         vp.success = true;
@@ -209,7 +182,7 @@ class Decomposer {
     const auto classes_start = std::chrono::steady_clock::now();
     const auto classes =
         decomp::compute_compatible_classes(spec, options_.dc_policy,
-                                           class_options());
+                                           &class_stats_);
     stats_.classes_seconds += seconds_since(classes_start);
     if (classes.num_classes() == 1) {
       // The function does not truly depend on the bound set.
@@ -235,7 +208,7 @@ class Decomposer {
       enc_options.dc_policy = options_.dc_policy;
       enc_options.tear_penalty_scale = options_.tear_penalty_scale;
       enc_options.search = &search_;
-      fill_encoder_engine(&enc_options);
+      enc_options.class_stats = &class_stats_;
       EncodingChoice choice =
           encode_classes(gm_, classes, vp.free, alpha_vars, enc_options);
       encoding = choice.encoding;
@@ -348,7 +321,6 @@ class Decomposer {
     sub_stats.absorb_search_stats(sub.search().stats());
     sub_stats.class_signature_pairs += sub.class_stats().signature_pairs;
     sub_stats.class_bdd_pairs += sub.class_stats().bdd_pairs;
-    sub_stats.encoder_parallel_tasks += sub.encoder_parallel_tasks();
     stats_.absorb_search_and_phases(sub_stats);
     return entry;
   }
@@ -508,7 +480,6 @@ class Decomposer {
   int cache_ceiling_ = 0;
   decomp::BoundSetSearch search_;
   decomp::ClassStats class_stats_;
-  std::uint64_t encoder_parallel_tasks_ = 0;
 };
 
 /// Greedy support-overlap grouping of primary outputs for hyper-functions.
@@ -565,7 +536,7 @@ std::vector<net::NodeId> run_hyper_group_raw(
   enc_options.dc_policy = options.dc_policy;
   enc_options.tear_penalty_scale = options.tear_penalty_scale;
   enc_options.search = &decomposer.search();
-  decomposer.fill_encoder_engine(&enc_options);
+  enc_options.class_stats = &decomposer.class_stats();
   const double search_before = decomposer.search().stats().seconds;
   const auto encode_start = std::chrono::steady_clock::now();
   const HyperFunction hyper = build_hyper_function(
@@ -891,7 +862,6 @@ FlowResult run_flow_once(const net::Network& input, const FlowOptions& options,
   stats.absorb_search_stats(decomposer.search().stats());
   stats.class_signature_pairs += decomposer.class_stats().signature_pairs;
   stats.class_bdd_pairs += decomposer.class_stats().bdd_pairs;
-  stats.encoder_parallel_tasks += decomposer.encoder_parallel_tasks();
   return result;
 }
 }  // namespace

@@ -61,8 +61,8 @@ struct CutChart {
     for (int v : spec.bound) var_map[static_cast<std::size_t>(v)] = next++;
     for (int v : spec.free) var_map[static_cast<std::size_t>(v)] = next++;
     // Support variables the spec's free list missed still go below the cut:
-    // the recursive reference tolerates an incomplete free list (it only
-    // cofactors the bound set), so the cut path must too.
+    // callers may pass an incomplete free list (only the bound set shapes the
+    // columns), so the cut path tolerates one.
     for (int v : src.support(spec.f.on)) {
       if (var_map[static_cast<std::size_t>(v)] < 0) {
         var_map[static_cast<std::size_t>(v)] = next++;
@@ -234,8 +234,8 @@ std::vector<Column> enumerate_columns(const DecompSpec& spec) {
 }
 
 std::vector<ColumnSignature> column_signatures(
-    const DecompSpec& spec, const std::vector<Column>& columns, int max_rows) {
-  if (max_rows <= 0 || columns.empty()) return {};
+    const DecompSpec& spec, const std::vector<Column>& columns) {
+  if (columns.empty()) return {};
   bdd::Manager& mgr = *spec.mgr;
   // Shared signature variable set: the sorted union of the pattern supports.
   // Free variables no pattern depends on only pad the row space without
@@ -255,7 +255,7 @@ std::vector<ColumnSignature> column_signatures(
   }
   const int nv = static_cast<int>(row_vars.size());
   if (nv > tt::TruthTable::kMaxVars || nv > 30 ||
-      (std::int64_t{1} << nv) > max_rows) {
+      (std::int64_t{1} << nv) > kSignatureMaxRows) {
     return {};  // row space too large; caller falls back to BDD tests
   }
   const std::uint64_t rows = std::uint64_t{1} << nv;
@@ -284,51 +284,6 @@ std::vector<ColumnSignature> column_signatures(
   return sigs;
 }
 
-std::vector<Column> enumerate_columns_recursive(const DecompSpec& spec) {
-  check_spec(spec);
-  bdd::Manager& mgr = *spec.mgr;
-  std::vector<Column> columns;
-  std::unordered_map<std::uint64_t, std::size_t> index_of;
-
-  // Walk all 2^|bound| assignments by successive cofactoring; patterns that
-  // coincide as (on, dc) BDD pairs are merged into one column.
-  std::function<void(std::size_t, const bdd::Bdd&, const bdd::Bdd&, std::uint64_t)>
-      rec = [&](std::size_t depth, const bdd::Bdd& on, const bdd::Bdd& dc,
-                std::uint64_t minterm) {
-        if (depth == spec.bound.size()) {
-          const std::uint64_t key = pattern_key(on, dc);
-          auto [it, inserted] = index_of.emplace(key, columns.size());
-          if (inserted) {
-            columns.push_back(Column{IsfBdd{on, dc}, mgr.zero(), {}});
-          }
-          columns[it->second].minterms.push_back(minterm);
-          return;
-        }
-        const int var = spec.bound[depth];
-        rec(depth + 1, mgr.cofactor(on, var, false), mgr.cofactor(dc, var, false),
-            minterm);
-        rec(depth + 1, mgr.cofactor(on, var, true), mgr.cofactor(dc, var, true),
-            minterm | (std::uint64_t{1} << depth));
-      };
-  rec(0, spec.f.on, spec.f.dc, 0);
-
-  for (Column& column : columns) {
-    bdd::Bdd indicator = mgr.zero();
-    for (std::uint64_t m : column.minterms) {
-      indicator = indicator | minterm_cube(mgr, spec.bound, m);
-    }
-    column.indicator = std::move(indicator);
-  }
-  return columns;
-}
-
-int count_columns_via_cut(const DecompSpec& spec) {
-  if (spec.mgr == nullptr) {
-    throw std::invalid_argument("DecompSpec: null manager");
-  }
-  return static_cast<int>(CutChart(spec).columns.size());
-}
-
 BoundedCount count_columns_bounded(const DecompSpec& spec, int max_columns) {
   if (spec.mgr == nullptr) {
     throw std::invalid_argument("DecompSpec: null manager");
@@ -340,26 +295,6 @@ BoundedCount count_columns_bounded(const DecompSpec& spec, int max_columns) {
 int count_columns(const DecompSpec& spec) {
   check_spec(spec);
   return static_cast<int>(CutChart(spec).columns.size());
-}
-
-int count_columns_recursive(const DecompSpec& spec) {
-  check_spec(spec);
-  bdd::Manager& mgr = *spec.mgr;
-  // Hold handles so GC cannot recycle pattern ids mid-enumeration.
-  std::unordered_map<std::uint64_t, std::pair<bdd::Bdd, bdd::Bdd>> seen;
-  std::function<void(std::size_t, const bdd::Bdd&, const bdd::Bdd&)> rec =
-      [&](std::size_t depth, const bdd::Bdd& on, const bdd::Bdd& dc) {
-        if (depth == spec.bound.size()) {
-          seen.emplace(pattern_key(on, dc), std::make_pair(on, dc));
-          return;
-        }
-        const int var = spec.bound[depth];
-        rec(depth + 1, mgr.cofactor(on, var, false),
-            mgr.cofactor(dc, var, false));
-        rec(depth + 1, mgr.cofactor(on, var, true), mgr.cofactor(dc, var, true));
-      };
-  rec(0, spec.f.on, spec.f.dc);
-  return static_cast<int>(seen.size());
 }
 
 }  // namespace hyde::decomp

@@ -13,9 +13,7 @@
 /// node pairs hanging below the cut — one per column — are discovered in a
 /// single lock-step traversal costing O(nodes above the cut) instead of
 /// 2^|X| cofactor pairs. Column indicators fall out of the same pair graph
-/// by propagating bound-literal cubes top-down. The original
-/// recursive-cofactor walk is kept as a cross-checked reference
-/// (`enumerate_columns_recursive` / `count_columns_recursive`).
+/// by propagating bound-literal cubes top-down.
 
 #pragma once
 
@@ -74,38 +72,30 @@ struct ColumnSignature {
   std::vector<std::uint64_t> care;
 };
 
+/// Row-space bound for column signatures (rows = 2^|support union|). Wider
+/// charts decide compatibility with BDD disjointness tests instead.
+inline constexpr int kSignatureMaxRows = 4096;
+
 /// Derives the row signatures of \p columns, or returns an empty vector when
-/// the shared row space exceeds \p max_rows (the caller then falls back to
-/// BDD compatibility tests). max_rows <= 0 disables signatures outright.
+/// the shared row space exceeds kSignatureMaxRows (the caller then falls back
+/// to BDD compatibility tests).
 std::vector<ColumnSignature> column_signatures(
-    const DecompSpec& spec, const std::vector<Column>& columns, int max_rows);
+    const DecompSpec& spec, const std::vector<Column>& columns);
 
 /// Enumerates the distinct column patterns of the chart. Deterministic:
 /// columns are ordered by their smallest bound minterm.
 /// Throws std::invalid_argument if |bound| exceeds kMaxBoundVars.
 std::vector<Column> enumerate_columns(const DecompSpec& spec);
 
-/// Reference implementation of enumerate_columns by recursive cofactoring
-/// (Θ(2^|bound|) cofactor pairs). Produces identical columns in identical
-/// order; kept for cross-checking the cut-based path.
-std::vector<Column> enumerate_columns_recursive(const DecompSpec& spec);
-
-/// Number of distinct column patterns, without materializing indicators.
-/// This is exactly the compatible-class count for completely specified
-/// functions and an upper bound for ISFs. Delegates to the cut-based path.
+/// Number of distinct column patterns, without materializing indicators,
+/// by the BDD-cut method of Jiang et al. [2]: f is transferred into a
+/// manager whose variable order puts the bound set on top and the distinct
+/// sub-functions hanging below the cut are counted, at O(|BDD|) instead of
+/// O(2^|bound|). ISFs count distinct (on, dc) pattern pairs, so this is
+/// exactly the compatible-class count for completely specified functions
+/// and an upper bound for ISFs.
 /// Throws std::invalid_argument if |bound| exceeds kMaxBoundVars.
 int count_columns(const DecompSpec& spec);
-
-/// Reference implementation of count_columns by recursive cofactoring.
-int count_columns_recursive(const DecompSpec& spec);
-
-/// The BDD-cut method of Jiang et al. [2]: transfers f into a manager whose
-/// variable order puts the bound set on top and counts the distinct
-/// sub-functions hanging below the cut. Equal to count_columns for
-/// completely specified functions but costs O(|BDD|) instead of
-/// O(2^|bound|). ISFs count distinct (on, dc) pattern pairs. Unlike
-/// count_columns this places no limit on the bound-set size.
-int count_columns_via_cut(const DecompSpec& spec);
 
 /// Outcome of a bounded column count. When `pruned` is set the cut traversal
 /// was abandoned early and `count` is a *lower bound* on the true column
@@ -116,11 +106,12 @@ struct BoundedCount {
   bool pruned = false;
 };
 
-/// count_columns_via_cut with an early-exit threshold: the pair-graph
-/// traversal stops as soon as more than \p max_columns distinct columns have
-/// been discovered, so candidate bound sets that are already worse than an
+/// count_columns with an early-exit threshold: the pair-graph traversal
+/// stops as soon as more than \p max_columns distinct columns have been
+/// discovered, so candidate bound sets that are already worse than an
 /// incumbent cost the search engine only a prefix of the full enumeration.
-/// max_columns <= 0 means unlimited (identical to count_columns_via_cut).
+/// max_columns <= 0 means unlimited. Unlike count_columns this places no
+/// limit on the bound-set size.
 BoundedCount count_columns_bounded(const DecompSpec& spec, int max_columns);
 
 /// Builds the BDD cube for an assignment to the given variables

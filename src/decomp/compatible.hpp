@@ -58,32 +58,19 @@ struct ClassStats {
   }
 };
 
-/// Result-neutral engine knobs for compatible-class computation. Every
-/// setting produces identical classes in identical order; the knobs only
-/// select how the column-compatibility graph is evaluated.
-struct ClassComputeOptions {
-  /// Decide column compatibility with packed row signatures (word ops)
-  /// when the row space fits signature_max_rows; otherwise fall back to
-  /// per-pair BDD disjointness with hoisted off() BDDs.
-  bool use_signatures = true;
-  /// Row-space bound for the signature path (rows = 2^|support union|).
-  int signature_max_rows = 4096;
-  /// Route clique partitioning through the recount-from-scratch reference
-  /// implementation (bench/test fidelity knob; partitions are identical).
-  bool use_reference_clique = false;
-  /// Optional counter sink.
-  ClassStats* stats = nullptr;
-};
-
-/// Computes the compatible classes of the chart of \p spec.
+/// Computes the compatible classes of the chart of \p spec. Column pairs are
+/// decided by packed row signatures when the row space fits
+/// kSignatureMaxRows, otherwise by per-pair BDD disjointness tests; both
+/// give identical classes. \p stats, when non-null, counts which test
+/// decided the pairs.
 ClassResult compute_compatible_classes(
     const DecompSpec& spec, DcPolicy policy = DcPolicy::kCliquePartition,
-    const ClassComputeOptions& options = {});
+    ClassStats* stats = nullptr);
 
 /// Number of compatible classes only (convenience for cost functions).
 int count_compatible_classes(const DecompSpec& spec,
                              DcPolicy policy = DcPolicy::kCliquePartition,
-                             const ClassComputeOptions& options = {});
+                             ClassStats* stats = nullptr);
 
 /// True iff two column patterns agree on their common care set.
 bool columns_compatible(bdd::Manager& mgr, const IsfBdd& a, const IsfBdd& b);

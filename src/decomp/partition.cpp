@@ -61,24 +61,18 @@ std::string Partition::to_string() const {
 Partition make_partition(bdd::Manager& mgr, const IsfBdd& f,
                          const std::vector<int>& position_vars,
                          SymbolTable& symbols) {
-  // Equivalence with the split form holds by construction: the enumeration
-  // emits patterns in visit order and the interning folds them in that order.
-  return intern_partition(partition_patterns(mgr, f, position_vars),
-                          static_cast<int>(position_vars.size()), symbols);
-}
-
-std::vector<PositionPattern> partition_patterns(
-    bdd::Manager& mgr, const IsfBdd& f, const std::vector<int>& position_vars) {
   if (position_vars.size() > 20) {
     throw std::invalid_argument("make_partition: too many position variables");
   }
-  std::vector<PositionPattern> result;
-  result.reserve(std::size_t{1} << position_vars.size());
+  Partition result;
+  result.symbols.resize(std::size_t{1} << position_vars.size());
+  // Low cofactor first: patterns are interned in this visit order, so symbol
+  // ids are a deterministic function of (f, position_vars, symbols).
   std::function<void(std::size_t, const bdd::Bdd&, const bdd::Bdd&, std::uint64_t)>
       rec = [&](std::size_t depth, const bdd::Bdd& on, const bdd::Bdd& dc,
                 std::uint64_t position) {
         if (depth == position_vars.size()) {
-          result.push_back(PositionPattern{position, IsfBdd{on, dc}});
+          result.symbols[position] = symbols.id_of(on, dc);
           return;
         }
         const int var = position_vars[depth];
@@ -88,16 +82,6 @@ std::vector<PositionPattern> partition_patterns(
             position | (std::uint64_t{1} << depth));
       };
   rec(0, f.on, f.dc, 0);
-  return result;
-}
-
-Partition intern_partition(const std::vector<PositionPattern>& patterns,
-                           int num_position_vars, SymbolTable& symbols) {
-  Partition result;
-  result.symbols.resize(std::size_t{1} << num_position_vars);
-  for (const PositionPattern& p : patterns) {
-    result.symbols[p.position] = symbols.id_of(p.pattern.on, p.pattern.dc);
-  }
   return result;
 }
 

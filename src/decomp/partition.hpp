@@ -64,29 +64,6 @@ Partition make_partition(bdd::Manager& mgr, const IsfBdd& f,
                          const std::vector<int>& position_vars,
                          SymbolTable& symbols);
 
-/// One (position, residual pattern) pair of a partition, carried in
-/// make_partition's exact low-cofactor-first visit order.
-struct PositionPattern {
-  std::uint64_t position = 0;
-  IsfBdd pattern;
-};
-
-/// The manager-local half of make_partition: enumerates the (position,
-/// pattern) pairs without touching a SymbolTable, so it can run inside a
-/// private snapshot manager on a worker thread. Emission order equals
-/// make_partition's visit order, making
-///   intern_partition(partition_patterns(mgr, f, P), P.size(), symbols)
-/// produce the same Partition — and leave \p symbols in the same state — as
-/// make_partition(mgr, f, P, symbols).
-std::vector<PositionPattern> partition_patterns(
-    bdd::Manager& mgr, const IsfBdd& f, const std::vector<int>& position_vars);
-
-/// Folds pre-enumerated (position, pattern) pairs into a Partition, interning
-/// each pattern in emission order. The pattern BDDs must live in the manager
-/// whose content the SymbolTable identifies.
-Partition intern_partition(const std::vector<PositionPattern>& patterns,
-                           int num_position_vars, SymbolTable& symbols);
-
 /// Conjunction partition Πc: position-wise tuples of the operands' symbols,
 /// renumbered by first occurrence. Note the result's symbols live in a local
 /// namespace (tuples have no global content); use it for multiplicity and

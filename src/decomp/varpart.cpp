@@ -7,11 +7,11 @@ namespace hyde::decomp {
 VarPartitionResult select_bound_set(bdd::Manager& mgr, const IsfBdd& f,
                                     const std::vector<int>& support,
                                     const VarPartitionOptions& options) {
-  // One-shot serial engine: same greedy growth and tie-breaks as the
-  // historical in-place loop, now shared with the memoized/parallel search
-  // (see search.hpp for the equivalence argument). Callers that want memo
-  // reuse across selects hold a BoundSetSearch of their own.
-  BoundSetSearch search(mgr, SearchOptions{});
+  // One-shot engine: same greedy growth and tie-breaks as the historical
+  // in-place loop, now shared with the memoized search (see search.hpp for
+  // the equivalence argument). Callers that want memo reuse across selects
+  // hold a BoundSetSearch of their own.
+  BoundSetSearch search(mgr);
   return search.select(f, support, options);
 }
 

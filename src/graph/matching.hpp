@@ -30,16 +30,9 @@ namespace hyde::graph {
 ///
 /// Implementation: packed bitset adjacency rows with common-neighbour counts
 /// maintained incrementally across merges (AND + popcount). Produces exactly
-/// the partition of clique_partition_reference — the selection order, the
-/// tie-break, and the member order are all preserved.
+/// the partition of the recount-from-scratch formulation — the selection
+/// order, the tie-break, and the member order are all preserved.
 std::vector<std::vector<int>> clique_partition(
-    int n, const std::vector<std::vector<char>>& adjacent);
-
-/// The original recount-from-scratch formulation of clique_partition, kept
-/// verbatim as the equivalence oracle for the incremental implementation
-/// (tests/graph/matching_property_test.cpp). O(n^4) worst case; use
-/// clique_partition in production code.
-std::vector<std::vector<int>> clique_partition_reference(
     int n, const std::vector<std::vector<char>>& adjacent);
 
 /// One edge of a bipartite b-matching instance.

@@ -71,10 +71,10 @@ bool deserialize_job_outcome(const std::vector<std::uint8_t>& raw,
 }
 
 /// Digest of everything a job's deterministic outcome depends on: the input
-/// circuit's full BLIF text plus every result-affecting batch knob. Engine
-/// knobs with a result-identity contract (worker/search/encoder threads,
-/// class signatures, manager pool) are excluded — replaying across them is
-/// the point. Goes into the blob key, so a mismatch is a clean miss.
+/// circuit's full BLIF text plus every result-affecting batch knob. Knobs
+/// with a result-identity contract (worker count, manager pool) are
+/// excluded — replaying across them is the point. Goes into the blob key,
+/// so a mismatch is a clean miss.
 std::uint64_t job_fingerprint(const BatchJob& job, const BatchOptions& options,
                               const std::string& blif_text) {
   std::uint64_t h = store::fnv1a_bytes(
@@ -189,11 +189,16 @@ RunReport run_batch(const std::vector<BatchJob>& jobs,
               }
             }
           }
+          core::FlowOptions flow_options =
+              baseline::system_flow_options(job.system, job.k);
+          flow_options.seed = job.seed;
+          flow_options.cache = shared_cache;
+          flow_options.cache_max_support = options.cache_max_support;
+          flow_options.reorder = options.reorder;
+          flow_options.reorder_max_growth = options.reorder_max_growth;
+          flow_options.manager_pool = shared_pool;
           const baseline::BaselineResult result = baseline::run_system(
-              input, job.system, job.k, options.verify_vectors, job.seed,
-              shared_cache, options.cache_max_support, options.search_threads,
-              options.encoder_threads, options.class_signatures,
-              options.reorder, options.reorder_max_growth, shared_pool);
+              input, job.system, flow_options, options.verify_vectors);
           out.luts = result.luts;
           out.clbs = result.clbs;
           out.depth = result.depth;
@@ -237,7 +242,6 @@ RunReport run_batch(const std::vector<BatchJob>& jobs,
     report.search.memo_clears += job.stats.search_memo_clears;
     report.classes.signature_pairs += job.stats.class_signature_pairs;
     report.classes.bdd_pairs += job.stats.class_bdd_pairs;
-    report.classes.encoder_parallel_tasks += job.stats.encoder_parallel_tasks;
     report.windows.extracted +=
         static_cast<std::uint64_t>(job.stats.windows_extracted);
     report.windows.resynthesized +=

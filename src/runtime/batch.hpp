@@ -53,16 +53,6 @@ struct BatchOptions {
   /// On-disk byte budget applied at flush via LRU-by-generation eviction;
   /// 0 = unlimited.
   std::uint64_t cache_max_bytes = 0;
-  /// Intra-flow bound-set search threads per job (decomp/search.hpp).
-  /// Result-identical at any value; the default 1 avoids oversubscribing the
-  /// batch worker pool. Total threads ~= workers * search_threads.
-  int search_threads = 1;
-  /// Intra-flow encoder threads per job (core/encoder.hpp Step 4 / Step 8).
-  /// Result-identical at any value; same oversubscription caveat.
-  int encoder_threads = 1;
-  /// Packed-signature column-compatibility fast path (decomp/compatible.hpp).
-  /// Result-identical on and off.
-  bool class_signatures = true;
   /// Dynamic variable reordering inside each job's flow manager
   /// (docs/REORDER.md). Result-affecting — part of the NPN-cache
   /// fingerprint — but still bit-identical across worker counts.

@@ -75,8 +75,6 @@ std::string to_json(const RunReport& report, bool include_volatile) {
     out += "\"signature_pairs\": " +
            std::to_string(report.classes.signature_pairs);
     out += ", \"bdd_pairs\": " + std::to_string(report.classes.bdd_pairs);
-    out += ", \"encoder_parallel_tasks\": " +
-           std::to_string(report.classes.encoder_parallel_tasks);
     out += "},\n";
     out += "  \"windows\": {";
     out += "\"extracted\": " + std::to_string(report.windows.extracted);
@@ -204,8 +202,6 @@ std::string to_json(const RunReport& report, bool include_volatile) {
       out += "\"signature_pairs\": " +
              std::to_string(job.stats.class_signature_pairs);
       out += ", \"bdd_pairs\": " + std::to_string(job.stats.class_bdd_pairs);
-      out += ", \"encoder_parallel_tasks\": " +
-             std::to_string(job.stats.encoder_parallel_tasks);
       out += "}";
       out += ",\n      \"windows\": {";
       out += "\"extracted\": " + std::to_string(job.stats.windows_extracted);
@@ -272,7 +268,7 @@ std::string to_csv(const RunReport& report) {
       "bdd_peak_live_nodes,"
       "search_selects,search_evaluated,search_pruned,search_memo_hits,"
       "varpart_seconds,classes_seconds,encoding_seconds,mapping_seconds,"
-      "class_signature_pairs,class_bdd_pairs,encoder_parallel_tasks,"
+      "class_signature_pairs,class_bdd_pairs,"
       "windows_extracted,windows_resynthesized,windows_passthrough,"
       "windows_budget_fallbacks,windows_split,windows_verify_failures,"
       "windows_extract_parallel,window_steals,window_max_seconds,"
@@ -305,7 +301,6 @@ std::string to_csv(const RunReport& report) {
            format_double(job.stats.mapping_seconds) + "," +
            std::to_string(job.stats.class_signature_pairs) + "," +
            std::to_string(job.stats.class_bdd_pairs) + "," +
-           std::to_string(job.stats.encoder_parallel_tasks) + "," +
            std::to_string(job.stats.windows_extracted) + "," +
            std::to_string(job.stats.windows_resynthesized) + "," +
            std::to_string(job.stats.windows_passthrough) + "," +

@@ -109,8 +109,8 @@ struct BddKernelReport {
 };
 
 /// Aggregated bound-set search engine figures for the whole batch (all
-/// volatile: pruning depth and memo hit patterns move with evaluation order
-/// and thread count, even though the selected bound sets never do).
+/// volatile: memo hit patterns depend on what each job's engine saw first,
+/// even though the selected bound sets never do).
 struct SearchReport {
   std::uint64_t selects = 0;
   std::uint64_t candidates_evaluated = 0;
@@ -119,13 +119,11 @@ struct SearchReport {
   std::uint64_t memo_clears = 0;
 };
 
-/// Aggregated class-computation / encoder engine figures for the whole batch
-/// (all volatile: which fast path decided a column pair and how many encoder
-/// tasks hit worker threads depend on the engine knobs, never the results).
+/// Aggregated class-computation figures for the whole batch (volatile:
+/// which compatibility test decided a column pair, never the results).
 struct ClassesReport {
   std::uint64_t signature_pairs = 0;
   std::uint64_t bdd_pairs = 0;
-  std::uint64_t encoder_parallel_tasks = 0;
 };
 
 /// Aggregated windowed-engine figures for the whole batch (reported in the

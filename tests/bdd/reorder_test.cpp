@@ -1,4 +1,4 @@
-#include "bdd/reorder.hpp"
+#include "oracles/reorder_oracle.hpp"
 
 #include <gtest/gtest.h>
 

@@ -10,8 +10,8 @@
 #include <gtest/gtest.h>
 
 #include "bdd/bdd.hpp"
-#include "bdd/reorder.hpp"
 #include "bdd/transfer.hpp"
+#include "oracles/reorder_oracle.hpp"
 
 namespace hyde::bdd {
 namespace {

@@ -1,10 +1,10 @@
 /// \file compatible_signature_test.cpp
-/// \brief Result-neutrality tests for the class-computation engine knobs:
-/// the packed-signature compatibility path and the incremental clique
-/// partitioner must produce byte-for-byte the same ClassResult as the BDD
-/// fallback and the reference partitioner, on charts with and without don't
-/// cares, and the ClassStats counters must attribute pairs to the path that
-/// actually decided them.
+/// \brief The class-computation engine against its references: the packed
+/// row-signature compatibility test must agree pair by pair with the BDD
+/// predicate, the production classes must equal the ones built from the BDD
+/// predicate and the recount-from-scratch clique partitioner, and the
+/// ClassStats counters must attribute pairs to the test that decided them —
+/// including the BDD fallback that wide row spaces select.
 
 #include "decomp/compatible.hpp"
 
@@ -12,6 +12,7 @@
 
 #include <random>
 
+#include "oracles/clique_oracle.hpp"
 #include "tt/truth_table.hpp"
 
 namespace hyde::decomp {
@@ -31,56 +32,72 @@ DecompSpec make_spec(Manager& mgr, const Bdd& on, const Bdd& dc,
   return spec;
 }
 
-DecompSpec random_isf_spec(Manager& mgr, std::mt19937_64& rng) {
-  // DC-rich: roughly a third of the space is on, a quarter don't-care.
+/// A DC-rich ISF over \p n variables: roughly a third of the space is on, a
+/// quarter don't-care; the first three variables form the bound set.
+DecompSpec random_isf_spec(Manager& mgr, std::mt19937_64& rng, int n = 6) {
   const Bdd on = mgr.from_truth_table(TruthTable::from_lambda(
-      6, [&rng](std::uint64_t) { return (rng() % 3) == 0; }));
+      n, [&rng](std::uint64_t) { return (rng() % 3) == 0; }));
   const Bdd dc_raw = mgr.from_truth_table(TruthTable::from_lambda(
-      6, [&rng](std::uint64_t) { return (rng() % 4) == 0; }));
-  return make_spec(mgr, on, dc_raw & ~on, {0, 1, 2}, {3, 4, 5});
+      n, [&rng](std::uint64_t) { return (rng() % 4) == 0; }));
+  std::vector<int> free_vars;
+  for (int v = 3; v < n; ++v) free_vars.push_back(v);
+  return make_spec(mgr, on, dc_raw & ~on, {0, 1, 2}, free_vars);
 }
 
-void expect_same_result(const ClassResult& a, const ClassResult& b,
-                        const char* label) {
-  ASSERT_EQ(a.columns.size(), b.columns.size()) << label;
-  for (std::size_t c = 0; c < a.columns.size(); ++c) {
-    EXPECT_EQ(a.columns[c].pattern.on, b.columns[c].pattern.on) << label;
-    EXPECT_EQ(a.columns[c].pattern.dc, b.columns[c].pattern.dc) << label;
-    EXPECT_EQ(a.columns[c].indicator, b.columns[c].indicator) << label;
+/// Column patterns over 13 free variables: the 2^13-row space exceeds
+/// kSignatureMaxRows, so compatibility falls back to BDD tests.
+constexpr int kWideVars = 16;
+
+/// Class groups built the reference way: every column pair decided by
+/// columns_compatible, grouped by the recount-from-scratch partitioner.
+std::vector<std::vector<int>> reference_groups(const DecompSpec& spec) {
+  const std::vector<Column> columns = enumerate_columns(spec);
+  const int n = static_cast<int>(columns.size());
+  std::vector<std::vector<char>> adjacent(
+      static_cast<std::size_t>(n),
+      std::vector<char>(static_cast<std::size_t>(n), 0));
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
+      if (columns_compatible(*spec.mgr,
+                             columns[static_cast<std::size_t>(i)].pattern,
+                             columns[static_cast<std::size_t>(j)].pattern)) {
+        adjacent[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] = 1;
+        adjacent[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)] = 1;
+      }
+    }
   }
-  ASSERT_EQ(a.classes.size(), b.classes.size()) << label;
-  for (std::size_t k = 0; k < a.classes.size(); ++k) {
-    EXPECT_EQ(a.classes[k].columns, b.classes[k].columns) << label;
-    EXPECT_EQ(a.classes[k].function.on, b.classes[k].function.on) << label;
-    EXPECT_EQ(a.classes[k].function.dc, b.classes[k].function.dc) << label;
-    EXPECT_EQ(a.classes[k].indicator, b.classes[k].indicator) << label;
+  return graph::clique_partition_reference(n, adjacent);
+}
+
+void expect_reference_classes(const DecompSpec& spec, const char* label) {
+  const ClassResult result =
+      compute_compatible_classes(spec, DcPolicy::kCliquePartition);
+  const std::vector<std::vector<int>> groups = reference_groups(spec);
+  ASSERT_EQ(result.classes.size(), groups.size()) << label;
+  for (std::size_t k = 0; k < groups.size(); ++k) {
+    EXPECT_EQ(result.classes[k].columns, groups[k]) << label;
+    const IsfBdd merged = merge_columns(*spec.mgr, result.columns, groups[k]);
+    EXPECT_EQ(result.classes[k].function.on, merged.on) << label;
+    EXPECT_EQ(result.classes[k].function.dc, merged.dc) << label;
   }
 }
 
 TEST(CompatibleSignature, NoDontCaresPoliciesAgree) {
   // Completely specified charts: compatibility degenerates to equality, so
-  // clique partitioning must return exactly the distinct columns — for both
-  // compatibility paths.
+  // clique partitioning must return exactly the distinct columns.
   std::mt19937_64 rng(2024);
   for (int trial = 0; trial < 12; ++trial) {
     Manager mgr(6);
     const Bdd on = mgr.from_truth_table(TruthTable::from_lambda(
         6, [&rng](std::uint64_t) { return (rng() & 1) != 0; }));
     const auto spec = make_spec(mgr, on, mgr.zero(), {0, 1, 2}, {3, 4, 5});
-    ClassComputeOptions sig;
-    ClassComputeOptions bdd_only;
-    bdd_only.use_signatures = false;
     const int distinct =
         count_compatible_classes(spec, DcPolicy::kDistinctColumns);
-    EXPECT_EQ(count_compatible_classes(spec, DcPolicy::kCliquePartition, sig),
+    EXPECT_EQ(count_compatible_classes(spec, DcPolicy::kCliquePartition),
               distinct)
         << "trial " << trial;
-    EXPECT_EQ(
-        count_compatible_classes(spec, DcPolicy::kCliquePartition, bdd_only),
-        distinct)
-        << "trial " << trial;
     const auto result =
-        compute_compatible_classes(spec, DcPolicy::kCliquePartition, sig);
+        compute_compatible_classes(spec, DcPolicy::kCliquePartition);
     EXPECT_EQ(result.num_classes(), distinct);
     for (const auto& cls : result.classes) {
       EXPECT_EQ(cls.columns.size(), 1u) << "trial " << trial;
@@ -88,62 +105,49 @@ TEST(CompatibleSignature, NoDontCaresPoliciesAgree) {
   }
 }
 
-TEST(CompatibleSignature, DcRichKnobCombosAreResultNeutral) {
-  // All four {signatures, reference clique} combinations — plus the
-  // signature path forced off via a zero row budget — must agree exactly on
-  // DC-rich random charts.
+TEST(CompatibleSignature, DcRichClassesMatchTheReferenceOracle) {
+  // Signature path (narrow rows) and BDD fallback (wide rows) must both
+  // reproduce the classes of the BDD predicate + reference partitioner.
   std::mt19937_64 rng(909);
   for (int trial = 0; trial < 12; ++trial) {
     Manager mgr(6);
-    const auto spec = random_isf_spec(mgr, rng);
-    ClassComputeOptions combos[5];
-    combos[1].use_signatures = false;
-    combos[2].use_reference_clique = true;
-    combos[3].use_signatures = false;
-    combos[3].use_reference_clique = true;
-    combos[4].signature_max_rows = 0;  // budget path to the BDD fallback
-    const auto baseline_result =
-        compute_compatible_classes(spec, DcPolicy::kCliquePartition, combos[0]);
-    for (std::size_t i = 1; i < 5; ++i) {
-      const auto other = compute_compatible_classes(
-          spec, DcPolicy::kCliquePartition, combos[i]);
-      expect_same_result(baseline_result, other, "combo");
-    }
+    expect_reference_classes(random_isf_spec(mgr, rng), "signature rows");
+  }
+  for (int trial = 0; trial < 2; ++trial) {
+    Manager mgr(kWideVars);
+    expect_reference_classes(random_isf_spec(mgr, rng, kWideVars),
+                             "wide rows");
   }
 }
 
 TEST(CompatibleSignature, StatsAttributePairsToTheDecidingPath) {
-  Manager mgr(6);
   std::mt19937_64 rng(606);
-  const auto spec = random_isf_spec(mgr, rng);
-
-  ClassStats sig_stats;
-  ClassComputeOptions sig;
-  sig.stats = &sig_stats;
-  const auto result =
-      compute_compatible_classes(spec, DcPolicy::kCliquePartition, sig);
-  const auto n = static_cast<std::uint64_t>(result.columns.size());
-  ASSERT_GE(n, 2u);
-  // Signatures fit (row space is 2^3 <= 4096): every pair decided by words.
-  EXPECT_EQ(sig_stats.signature_pairs, n * (n - 1) / 2);
-  EXPECT_EQ(sig_stats.bdd_pairs, 0u);
-
-  ClassStats bdd_stats;
-  ClassComputeOptions bdd_only;
-  bdd_only.use_signatures = false;
-  bdd_only.stats = &bdd_stats;
-  compute_compatible_classes(spec, DcPolicy::kCliquePartition, bdd_only);
-  EXPECT_EQ(bdd_stats.bdd_pairs, n * (n - 1) / 2);
-  EXPECT_EQ(bdd_stats.signature_pairs, 0u);
-
-  // A zero row budget must fall back to BDD pairs even with signatures on.
-  ClassStats budget_stats;
-  ClassComputeOptions budget;
-  budget.signature_max_rows = 0;
-  budget.stats = &budget_stats;
-  compute_compatible_classes(spec, DcPolicy::kCliquePartition, budget);
-  EXPECT_EQ(budget_stats.bdd_pairs, n * (n - 1) / 2);
-  EXPECT_EQ(budget_stats.signature_pairs, 0u);
+  {
+    Manager mgr(6);
+    const auto spec = random_isf_spec(mgr, rng);
+    ClassStats stats;
+    const auto result =
+        compute_compatible_classes(spec, DcPolicy::kCliquePartition, &stats);
+    const auto n = static_cast<std::uint64_t>(result.columns.size());
+    ASSERT_GE(n, 2u);
+    // Signatures fit (row space is 2^3 <= 4096): every pair decided by words.
+    EXPECT_EQ(stats.signature_pairs, n * (n - 1) / 2);
+    EXPECT_EQ(stats.bdd_pairs, 0u);
+  }
+  {
+    // 13 free variables: the row space exceeds kSignatureMaxRows, so every
+    // pair is decided by BDD disjointness tests.
+    Manager mgr(kWideVars);
+    const auto spec = random_isf_spec(mgr, rng, kWideVars);
+    ClassStats stats;
+    const auto result =
+        compute_compatible_classes(spec, DcPolicy::kCliquePartition, &stats);
+    const auto n = static_cast<std::uint64_t>(result.columns.size());
+    ASSERT_GE(n, 2u);
+    EXPECT_TRUE(column_signatures(spec, result.columns).empty());
+    EXPECT_EQ(stats.bdd_pairs, n * (n - 1) / 2);
+    EXPECT_EQ(stats.signature_pairs, 0u);
+  }
 }
 
 TEST(CompatibleSignature, SignatureAgreesWithBddPredicatePerPair) {
@@ -155,7 +159,7 @@ TEST(CompatibleSignature, SignatureAgreesWithBddPredicatePerPair) {
     Manager mgr(6);
     const auto spec = random_isf_spec(mgr, rng);
     const auto columns = enumerate_columns(spec);
-    const auto sigs = column_signatures(spec, columns, 4096);
+    const auto sigs = column_signatures(spec, columns);
     ASSERT_EQ(sigs.size(), columns.size()) << "trial " << trial;
     for (std::size_t i = 0; i < columns.size(); ++i) {
       for (std::size_t j = i + 1; j < columns.size(); ++j) {

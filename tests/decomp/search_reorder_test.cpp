@@ -1,8 +1,8 @@
 /// \file search_reorder_test.cpp
 /// \brief Reorder-epoch interaction with the retained decomposition state:
-/// the BoundSetSearch memo and snapshots must be impossible to stale-hit
-/// across a reorder of the source manager, and the column counts the chart
-/// layer computes must be invariant under the variable order.
+/// the BoundSetSearch memo must be impossible to stale-hit across a reorder
+/// of the source manager, and the column counts the chart layer computes
+/// must be invariant under the variable order.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 
 #include "decomp/chart.hpp"
 #include "decomp/search.hpp"
+#include "oracles/chart_oracle.hpp"
 #include "tt/truth_table.hpp"
 
 namespace hyde::decomp {
@@ -36,8 +37,8 @@ void expect_same_result(const VarPartitionResult& a,
 }
 
 TEST(BoundSetSearchReorderTest, MemoReplayAcrossAForcedReorderEpoch) {
-  // The memo keys on raw node ids and the snapshots copy the manager's DAG
-  // shape; a reorder invalidates both. A select after reorder_sift must
+  // The memo keys on raw node ids, which a reorder invalidates. A select
+  // after reorder_sift must
   // (a) detect the new epoch and clear, and (b) still return the identical
   // partition — the greedy decision is a function of order-invariant column
   // counts, never of the incidental node ids.
@@ -52,7 +53,7 @@ TEST(BoundSetSearchReorderTest, MemoReplayAcrossAForcedReorderEpoch) {
     VarPartitionOptions options;
     options.bound_size = 3;
 
-    BoundSetSearch engine(mgr, SearchOptions{});
+    BoundSetSearch engine(mgr);
     const VarPartitionResult before = engine.select(f, support, options);
     EXPECT_GT(engine.memo_size(), 0u);
     const std::uint64_t clears_before = engine.stats().memo_clears;
@@ -74,33 +75,6 @@ TEST(BoundSetSearchReorderTest, MemoReplayAcrossAForcedReorderEpoch) {
   }
 }
 
-TEST(BoundSetSearchReorderTest, SnapshotsSurviveWhenTheSourceReorders) {
-  // The engine snapshots (on, dc) into a private manager at construction
-  // time; reordering the *source* manager afterwards must not corrupt a
-  // select that runs entirely off those snapshots.
-  std::mt19937_64 rng(72);
-  Manager mgr(7);
-  const Bdd on = random_bdd(mgr, 7, rng);
-  const IsfBdd f{on, mgr.zero()};
-  const std::vector<int> support = mgr.support(on);
-  ASSERT_GE(support.size(), 4u);
-  VarPartitionOptions options;
-  options.bound_size = 3;
-
-  SearchOptions parallel;
-  parallel.threads = 2;
-  parallel.min_parallel_candidates = 2;
-  BoundSetSearch serial(mgr, SearchOptions{});
-  BoundSetSearch threaded(mgr, parallel);
-  const VarPartitionResult reference = serial.select(f, support, options);
-
-  mgr.reorder_sift();
-  expect_same_result(threaded.select(f, support, options), reference,
-                     "parallel select after source reorder");
-  expect_same_result(serial.select(f, support, options), reference,
-                     "serial select after source reorder");
-}
-
 TEST(ChartReorderTest, ColumnCountsAreOrderInvariant) {
   // Both chart paths (cut enumeration and the recursive reference) must
   // count the same number of distinct columns whatever order the manager
@@ -119,13 +93,13 @@ TEST(ChartReorderTest, ColumnCountsAreOrderInvariant) {
     for (int v = 0; v < n; ++v) {
       (v < bound_size ? spec.bound : spec.free).push_back(v);
     }
-    const int cut_before = count_columns_via_cut(spec);
+    const int cut_before = count_columns(spec);
     const int rec_before = count_columns_recursive(spec);
     EXPECT_EQ(cut_before, rec_before);
 
     mgr.reorder_sift();
 
-    EXPECT_EQ(count_columns_via_cut(spec), cut_before) << "trial " << trial;
+    EXPECT_EQ(count_columns(spec), cut_before) << "trial " << trial;
     EXPECT_EQ(count_columns_recursive(spec), rec_before) << "trial " << trial;
     const BoundedCount bounded = count_columns_bounded(spec, 0);
     EXPECT_FALSE(bounded.pruned);

@@ -1,8 +1,8 @@
 /// \file search_test.cpp
 /// \brief Bound-set search engine correctness: bounded (pruned) column
 /// counting against the recursive reference, and bit-identical selection
-/// across every engine configuration (memo on/off, pruning on/off, serial
-/// vs parallel) and against a verbatim copy of the historical greedy loop.
+/// against a verbatim copy of the historical greedy loop — fresh, repeated,
+/// across shrinking bound sizes and past the memo's capacity.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include "core/encoder.hpp"
 #include "decomp/search.hpp"
 #include "decomp/step.hpp"
+#include "oracles/chart_oracle.hpp"
 #include "tt/truth_table.hpp"
 
 namespace hyde::decomp {
@@ -30,7 +31,7 @@ Bdd random_bdd(Manager& mgr, int num_vars, std::mt19937_64& rng) {
 
 /// Verbatim re-implementation of the historical select_bound_set greedy loop
 /// (pre-engine): evaluates every candidate from scratch with an exact count.
-/// The engine must reproduce this bit for bit in every configuration.
+/// The engine must reproduce this bit for bit.
 VarPartitionResult legacy_select(Manager& mgr, const IsfBdd& f,
                                  const std::vector<int>& support,
                                  const VarPartitionOptions& options) {
@@ -66,8 +67,7 @@ VarPartitionResult legacy_select(Manager& mgr, const IsfBdd& f,
           spec.free.push_back(s);
         }
       }
-      const int cost = options.use_cut_method ? count_columns_via_cut(spec)
-                                              : count_columns(spec);
+      const int cost = count_columns(spec);
       if (best_var < 0 || cost < best_cost ||
           (cost == best_cost && v < best_var)) {
         best_var = v;
@@ -160,7 +160,7 @@ TEST(BoundedCountTest, PrunedCountIsALowerBoundPastTheThreshold) {
   EXPECT_GT(pruned_seen, 0);  // the loop actually exercised pruning
 }
 
-TEST(BoundSetSearchTest, AllConfigurationsMatchTheLegacyGreedy) {
+TEST(BoundSetSearchTest, EngineMatchesTheLegacyGreedy) {
   std::mt19937_64 rng(63);
   for (int trial = 0; trial < 20; ++trial) {
     const int n = 6 + static_cast<int>(rng() % 3);  // 6..8 variables
@@ -179,44 +179,15 @@ TEST(BoundSetSearchTest, AllConfigurationsMatchTheLegacyGreedy) {
     const VarPartitionResult reference =
         legacy_select(mgr, f, support, options);
 
-    const SearchOptions configs[] = {
-        {.threads = 1, .use_memo = false, .use_pruning = false},
-        {.threads = 1, .use_memo = false, .use_pruning = true},
-        {.threads = 1, .use_memo = true, .use_pruning = false},
-        {.threads = 1, .use_memo = true, .use_pruning = true},
-        {.threads = 2, .use_memo = true, .use_pruning = true,
-         .min_parallel_candidates = 2},
-        {.threads = 4, .use_memo = false, .use_pruning = true,
-         .min_parallel_candidates = 2},
-    };
-    for (const SearchOptions& config : configs) {
-      BoundSetSearch engine(mgr, config);
-      expect_same_result(engine.select(f, support, options), reference,
-                         "single select");
-      // A second select over the same inputs must serve from the memo (when
-      // enabled) and still agree.
-      expect_same_result(engine.select(f, support, options), reference,
-                         "repeat select");
-      if (config.use_memo) {
-        EXPECT_GT(engine.stats().memo_hits, 0u);
-      }
-    }
+    BoundSetSearch engine(mgr);
+    expect_same_result(engine.select(f, support, options), reference,
+                       "single select");
+    // A second select over the same inputs must serve from the memo and
+    // still agree.
+    expect_same_result(engine.select(f, support, options), reference,
+                       "repeat select");
+    EXPECT_GT(engine.stats().memo_hits, 0u);
   }
-}
-
-TEST(BoundSetSearchTest, RecursiveReferencePathMatchesLegacy) {
-  std::mt19937_64 rng(64);
-  Manager mgr(6);
-  const Bdd on = random_bdd(mgr, 6, rng);
-  const IsfBdd f{on, mgr.zero()};
-  const std::vector<int> support = mgr.support(on);
-  VarPartitionOptions options;
-  options.bound_size = 3;
-  options.use_cut_method = false;  // exercise the 2^|bound| reference
-  BoundSetSearch engine(mgr, SearchOptions{});
-  expect_same_result(engine.select(f, support, options),
-                     legacy_select(mgr, f, support, options), "recursive ref");
-  EXPECT_EQ(engine.memo_size(), 0u);  // the reference path is never memoized
 }
 
 TEST(BoundSetSearchTest, ShrinkingBoundSizeReplaysThePrefixFromTheMemo) {
@@ -230,7 +201,7 @@ TEST(BoundSetSearchTest, ShrinkingBoundSizeReplaysThePrefixFromTheMemo) {
   const std::vector<int> support = mgr.support(on);
   ASSERT_GE(support.size(), 5u);
 
-  BoundSetSearch engine(mgr, SearchOptions{});
+  BoundSetSearch engine(mgr);
   VarPartitionOptions options;
   options.bound_size = 4;
   options.require_nontrivial = false;
@@ -247,21 +218,30 @@ TEST(BoundSetSearchTest, ShrinkingBoundSizeReplaysThePrefixFromTheMemo) {
 }
 
 TEST(BoundSetSearchTest, MemoClearsWhenOverCapacityAndStaysCorrect) {
+  // Drive one engine through enough distinct functions that the memo passes
+  // its fixed capacity: it must clear itself, never exceed the cap, and keep
+  // agreeing with the legacy greedy on both sides of the clear.
   std::mt19937_64 rng(66);
-  Manager mgr(7);
-  SearchOptions config;
-  config.memo_capacity = 8;  // force clears on every sweep
-  BoundSetSearch engine(mgr, config);
-  for (int trial = 0; trial < 6; ++trial) {
-    const Bdd on = random_bdd(mgr, 7, rng);
+  Manager mgr(8);
+  BoundSetSearch engine(mgr);
+  VarPartitionOptions options;
+  options.bound_size = 4;
+  bool checked_after_clear = false;
+  for (int trial = 0; !checked_after_clear; ++trial) {
+    ASSERT_LT(trial, 4000) << "memo never reached its capacity";
+    const Bdd on = random_bdd(mgr, 8, rng);
     const IsfBdd f{on, mgr.zero()};
     const std::vector<int> support = mgr.support(on);
-    if (static_cast<int>(support.size()) < 4) continue;
-    VarPartitionOptions options;
-    options.bound_size = 3;
-    expect_same_result(engine.select(f, support, options),
-                       legacy_select(mgr, f, support, options), "tiny memo");
-    EXPECT_LE(engine.memo_size(), config.memo_capacity);
+    if (static_cast<int>(support.size()) < 5) continue;
+    const bool cleared_before = engine.stats().memo_clears > 0;
+    const VarPartitionResult got = engine.select(f, support, options);
+    EXPECT_LE(engine.memo_size(), BoundSetSearch::kMemoCapacity);
+    const bool cleared_now = engine.stats().memo_clears > 0 && !cleared_before;
+    if (trial % 97 == 0 || cleared_now) {
+      expect_same_result(got, legacy_select(mgr, f, support, options),
+                         "around the memo capacity");
+    }
+    checked_after_clear = cleared_before;
   }
   EXPECT_GT(engine.stats().memo_clears, 0u);
 }
@@ -273,7 +253,7 @@ TEST(BoundSetSearchTest, OversizeBoundThrowsLikeLegacy) {
   for (int v = 0; v < kMaxBoundVars + 2; ++v) support[v] = v;
   VarPartitionOptions options;
   options.bound_size = kMaxBoundVars + 1;
-  BoundSetSearch engine(mgr, SearchOptions{});
+  BoundSetSearch engine(mgr);
   EXPECT_THROW(engine.select(f, support, options), std::invalid_argument);
 }
 
@@ -307,8 +287,7 @@ TEST(BoundSetSearchTest, EncoderHookMatchesHookFreeEncoding) {
     const auto plain =
         core::encode_classes(mgr, classes, spec.free, alpha_vars, base);
 
-    BoundSetSearch engine(mgr, SearchOptions{.threads = 2,
-                                             .min_parallel_candidates = 2});
+    BoundSetSearch engine(mgr);
     core::EncoderOptions hooked = base;
     hooked.search = &engine;
     const auto via_engine =

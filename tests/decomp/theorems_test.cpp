@@ -7,6 +7,7 @@
 
 #include "decomp/compatible.hpp"
 #include "decomp/step.hpp"
+#include "oracles/chart_oracle.hpp"
 #include "tt/truth_table.hpp"
 
 namespace hyde::decomp {
@@ -40,7 +41,7 @@ TEST(CutCounting, MatchesEnumerationCompletelySpecified) {
     }
     if (bound.empty()) bound.push_back(free.back()), free.pop_back();
     const auto spec = make_spec(mgr, IsfBdd{f, mgr.zero()}, bound, free);
-    EXPECT_EQ(count_columns_via_cut(spec), count_columns_recursive(spec))
+    EXPECT_EQ(count_columns(spec), count_columns_recursive(spec))
         << "trial " << trial;
   }
 }
@@ -56,7 +57,7 @@ TEST(CutCounting, MatchesEnumerationWithDontCares) {
                        n, [&rng](std::uint64_t) { return (rng() % 4) == 0; })) &
                    ~on;
     const auto spec = make_spec(mgr, IsfBdd{on, dc}, {0, 2, 4}, {1, 3, 5});
-    EXPECT_EQ(count_columns_via_cut(spec), count_columns_recursive(spec))
+    EXPECT_EQ(count_columns(spec), count_columns_recursive(spec))
         << "trial " << trial;
   }
 }
@@ -66,7 +67,7 @@ TEST(CutCounting, NonContiguousBoundSets) {
   const Bdd f = (mgr.var(7) & mgr.var(0)) ^ (mgr.var(3) | mgr.var(5));
   const auto spec =
       make_spec(mgr, IsfBdd{f, mgr.zero()}, {0, 7}, {1, 2, 3, 4, 5, 6});
-  EXPECT_EQ(count_columns_via_cut(spec), count_columns_recursive(spec));
+  EXPECT_EQ(count_columns(spec), count_columns_recursive(spec));
 }
 
 TEST(Theorem31, EncodingIrrelevantWhenAlphasStayTogether) {

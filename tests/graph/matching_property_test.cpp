@@ -14,6 +14,8 @@
 #include <functional>
 #include <random>
 
+#include "oracles/clique_oracle.hpp"
+
 namespace hyde::graph {
 namespace {
 

@@ -222,46 +222,6 @@ TEST(HydeLintTest, HandleLifetimeRuleSkipsTheManagerInternals) {
 }
 
 // ---------------------------------------------------------------------------
-// lock-discipline
-
-TEST(HydeLintTest, ReportsLockDisciplineViolationsWithExactLines) {
-  const auto diags = lint_content("src/part/fake.cpp",
-                                  fixture("lock_discipline_bad.cpp"), {});
-  const auto got = summarize(diags);
-  const std::vector<std::pair<int, std::string>> want = {
-      {10, "lock-discipline"},  // host read after the locked block closed
-      {18, "lock-discipline"},  // region declared for stats_mutex, not host's
-      {23, "lock-discipline"},  // marker over a bodiless declaration dangles
-  };
-  EXPECT_EQ(got, want);
-}
-
-TEST(HydeLintTest, LockDisciplineEscapesAreClean) {
-  const auto diags = lint_content("src/part/fake.cpp",
-                                  fixture("lock_discipline_good.cpp"), {});
-  EXPECT_TRUE(summarize(diags).empty());
-}
-
-TEST(HydeLintTest, StaleLockMarkerForARemovedMutexIsFlagged) {
-  // The annotated region survived the deletion of the mutex it documented
-  // (the windowed engine's old host_mutex): nothing in the file names the
-  // mutex any more, so the marker is a stale waiver and must be pruned.
-  const auto diags = lint_content("src/part/fake.cpp",
-                                  fixture("lock_discipline_stale.cpp"), {});
-  const auto got = summarize(diags);
-  const std::vector<std::pair<int, std::string>> want = {
-      {7, "lock-discipline"},  // hyde-locked(host_mutex) with no host_mutex
-  };
-  EXPECT_EQ(got, want);
-}
-
-TEST(HydeLintTest, LockDisciplineOnlyArmsInConcurrentEngineDirectories) {
-  const auto diags = lint_content("src/mapper/fake.cpp",
-                                  fixture("lock_discipline_bad.cpp"), {});
-  EXPECT_TRUE(diags.empty());
-}
-
-// ---------------------------------------------------------------------------
 // determinism: unordered-container iteration
 
 TEST(HydeLintTest, ReportsUnorderedIterationWithLoopTargetResolution) {

@@ -22,7 +22,7 @@
 /// branches of real feature gates.
 ///
 /// Comments are not discarded: they are recorded per line so rule markers
-/// (`hyde-hot`, `hyde-reorder-scope`, `hyde-locked(m)`, escape hatches) can
+/// (`hyde-hot`, `hyde-reorder-scope`, escape hatches) can
 /// be matched without ever confusing a marker inside a string literal for a
 /// real one.
 

@@ -413,149 +413,6 @@ void check_handle_lifetime(const LexedFile& lexed,
   }
 }
 
-// ---------------------------------------------------------------------------
-// lock-discipline
-
-/// Parameter names: the last identifier of each comma-separated declarator
-/// at the parameter list's own nesting depth.
-std::vector<std::string> parameter_names(const std::vector<Token>& tokens,
-                                         std::size_t begin, std::size_t end) {
-  std::vector<std::string> names;
-  int depth = 0;
-  std::string last_ident;
-  for (std::size_t i = begin; i < end && i < tokens.size(); ++i) {
-    const Token& t = tokens[i];
-    if (punct(t, "(") || punct(t, "[") || punct(t, "{") || punct(t, "<")) {
-      ++depth;
-      continue;
-    }
-    if (punct(t, ")") || punct(t, "]") || punct(t, "}") || punct(t, ">")) {
-      --depth;
-      continue;
-    }
-    if (depth != 0) continue;
-    if (ident(t)) last_ident = t.text;
-    if (punct(t, ",") || punct(t, "=")) {
-      if (!last_ident.empty()) names.push_back(last_ident);
-      last_ident.clear();
-      if (punct(t, "=")) {
-        // Skip the default argument up to the next top-level comma.
-        for (++i; i < end && i < tokens.size(); ++i) {
-          if (punct(tokens[i], "(") || punct(tokens[i], "[") ||
-              punct(tokens[i], "{") || punct(tokens[i], "<")) {
-            ++depth;
-          } else if (punct(tokens[i], ")") || punct(tokens[i], "]") ||
-                     punct(tokens[i], "}") || punct(tokens[i], ">")) {
-            --depth;
-          } else if (depth == 0 && punct(tokens[i], ",")) {
-            break;
-          }
-        }
-      }
-    }
-  }
-  if (!last_ident.empty()) names.push_back(last_ident);
-  return names;
-}
-
-template <typename Report>
-void check_lock_discipline(const LexedFile& lexed,
-                           const std::vector<FunctionInfo>& functions,
-                           const Report& report) {
-  const std::vector<Token>& tokens = lexed.tokens;
-  const std::vector<MarkerRegion> regions =
-      find_marker_regions(lexed, "hyde-locked");
-  for (const MarkerRegion& r : regions) {
-    if (!r.bound) {
-      // A marker trailing actual code is a line-level waiver for that line,
-      // not a region opener; only a marker on its own line can dangle.
-      const std::string& code_line =
-          lexed.code_lines[static_cast<std::size_t>(r.marker_line - 1)];
-      if (code_line.find_first_not_of(" \t") != std::string::npos) continue;
-      report(r.marker_line, "lock-discipline",
-             "hyde-locked marker does not bind to a braced region",
-             "place the marker directly above (or on) the line that opens "
-             "the locked block");
-    }
-  }
-
-  // Stale markers: a region annotated for a mutex that no longer exists
-  // anywhere in the file protects nothing — the lock it documents was
-  // removed (the windowed engine's host_mutex, say) and the leftover marker
-  // only waives real findings. Flag it so the region and any waivers naming
-  // that mutex get pruned along with the lock.
-  for (const MarkerRegion& r : regions) {
-    if (r.arg.empty()) continue;
-    bool mutex_exists = false;
-    for (const Token& t : tokens) {
-      if (ident(t) && t.text == r.arg) {
-        mutex_exists = true;
-        break;
-      }
-    }
-    if (!mutex_exists) {
-      report(r.marker_line, "lock-discipline",
-             "hyde-locked(" + r.arg + ") names a mutex that does not exist "
-                 "in this file",
-             "the lock was removed; delete the stale marker (and any "
-             "waivers that reference " + r.arg + ")");
-    }
-  }
-
-  for (const FunctionInfo& fn : functions) {
-    const std::vector<std::string> params =
-        parameter_names(tokens, fn.params_begin, fn.params_end);
-    std::vector<std::string> guarded;  // X such that X_mutex is also a param
-    for (const std::string& p : params) {
-      if (std::find(params.begin(), params.end(), p + "_mutex") !=
-          params.end()) {
-        guarded.push_back(p);
-      }
-    }
-    if (guarded.empty()) continue;
-
-    const std::size_t end = std::min(fn.body_end, tokens.size());
-    std::size_t stmt_begin = fn.body_begin + 1;
-    for (std::size_t i = stmt_begin; i <= end; ++i) {
-      const bool boundary = i == end || punct(tokens[i], ";") ||
-                            punct(tokens[i], "{") || punct(tokens[i], "}");
-      if (!boundary) continue;
-      for (const std::string& x : guarded) {
-        const std::string mutex_name = x + "_mutex";
-        bool mentions_mutex = false;
-        std::vector<int> use_lines;
-        for (std::size_t j = stmt_begin; j < i; ++j) {
-          if (!ident(tokens[j])) continue;
-          if (tokens[j].text == mutex_name) mentions_mutex = true;
-          if (tokens[j].text == x) use_lines.push_back(tokens[j].line);
-        }
-        if (mentions_mutex || use_lines.empty()) continue;
-        use_lines.erase(std::unique(use_lines.begin(), use_lines.end()),
-                        use_lines.end());
-        for (const int line : use_lines) {
-          bool in_locked = false;
-          for (const MarkerRegion& r : regions) {
-            if (r.bound && line >= r.first_line && line <= r.last_line &&
-                (r.arg.empty() || r.arg == mutex_name)) {
-              in_locked = true;
-              break;
-            }
-          }
-          if (in_locked) continue;
-          if (lexed.comment_on_line_contains(line, "hyde-locked")) continue;
-          report(line, "lock-discipline",
-                 "'" + x + "' read outside a hyde-locked(" + mutex_name +
-                     ") region",
-                 "wrap the access in a block annotated // hyde-locked(" +
-                     mutex_name + "), or pass " + mutex_name +
-                     " along so the callee takes the lock");
-        }
-      }
-      stmt_begin = i + 1;
-    }
-  }
-}
-
 }  // namespace
 
 std::vector<AllowEntry> parse_allowlist(const std::string& text) {
@@ -810,18 +667,13 @@ std::vector<Diagnostic> lint_lexed(const std::string& path,
   // results are produced (src/, minus bench-style throwaway code);
   // handle-lifetime everywhere under src/ except the manager's own
   // internals (src/bdd/ manipulates raw slots by design — reviewed by the
-  // invariant auditor instead); lock-discipline where the concurrent
-  // engines live.
+  // invariant auditor instead).
   const std::vector<FunctionInfo> functions = find_functions(lexed);
   if (in_library && !in_bench) {
     check_unordered_iteration(lexed, report);
   }
   if (in_library && !path_contains(path, "src/bdd/")) {
     check_handle_lifetime(lexed, functions, report);
-  }
-  if (path_contains(path, "src/part/") ||
-      path_contains(path, "src/runtime/")) {
-    check_lock_discipline(lexed, functions, report);
   }
 
   return diags;

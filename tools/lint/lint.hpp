@@ -40,12 +40,6 @@
 ///                        GC or reorder, no handles passed to a different
 ///                        manager than the one that made them. Escape:
 ///                        `// hyde-pinned` on the flagged line (say why).
-///  - `lock-discipline`   under src/part/ and src/runtime/: a function
-///                        taking both `X` and `X_mutex` parameters declares
-///                        a locking contract; uses of `X` in its body must
-///                        sit inside a `// hyde-locked(X_mutex)` region (the
-///                        marker binds to the next braced block, hot-style)
-///                        or forward `X_mutex` along with `X` to a callee.
 ///
 /// Cross-file rules (`dead-knob`, include-cycle detection, stale-allowlist
 /// pruning) live in project.hpp. See docs/ANALYSIS.md for the rationale

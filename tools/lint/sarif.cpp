@@ -67,9 +67,6 @@ const RuleMeta kRules[] = {
      "A raw node id must not outlive the Bdd handle pinning it: no id keys "
      "in long-lived containers, no ids off temporaries, no reuse across "
      "kernel calls that can GC or reorder, no cross-manager handle mixing."},
-    {"lock-discipline",
-     "Functions taking X and X_mutex parameters must confine uses of X to "
-     "hyde-locked(X_mutex) regions or forward the mutex with the value."},
     {"dead-knob",
      "Every option-struct field must be reachable from hyde_cli flags or "
      "surfaced in RunReport; unreachable knobs are dead weight."},

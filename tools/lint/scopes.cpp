@@ -108,8 +108,6 @@ std::vector<FunctionInfo> find_functions(const LexedFile& lexed) {
     } else {
       continue;
     }
-    fn.params_begin = open_paren + 1;
-    fn.params_end = close_paren;
     fn.body_begin = i;
     fn.body_end = brace_match[i];
     out.push_back(fn);
@@ -127,17 +125,6 @@ std::vector<MarkerRegion> find_marker_regions(const LexedFile& lexed,
     if (c.text.compare(start, marker.size(), marker) != 0) continue;
     MarkerRegion region;
     region.marker_line = c.line;
-    std::size_t after = start + marker.size();
-    while (after < c.text.size() &&
-           (c.text[after] == ' ' || c.text[after] == '\t')) {
-      ++after;
-    }
-    if (after < c.text.size() && c.text[after] == '(') {
-      const std::size_t close = c.text.find(')', after + 1);
-      if (close != std::string::npos) {
-        region.arg = c.text.substr(after + 1, close - after - 1);
-      }
-    }
 
     // Bind to the first `{` within the window, then walk braces to the
     // matching close (same per-char mechanics as the hot-region tracker).

@@ -1,15 +1,14 @@
 /// \file scopes.hpp
 /// \brief Brace/scope tracking over a lexed file: top-level function bodies
-/// with their parameter lists, and comment-marker regions that bind to the
-/// next braced block (the `hyde-hot` binding mechanics, generalized).
+/// and comment-marker regions that bind to the next braced block (the
+/// `hyde-hot` binding mechanics, generalized).
 ///
 /// The function finder is a heuristic (this is a linter, not a parser): a
 /// `{` whose backward token context looks like `name(params) [qualifiers]`
 /// opens a function body. Constructors with member-init lists are captured
 /// with the wrong name but the right body span, which is all the rules
 /// need. Only top-level (non-nested) functions are returned; lambda bodies
-/// belong to their enclosing function's token range, which is exactly what
-/// the capture-aware rules (lock-discipline) want.
+/// belong to their enclosing function's token range.
 
 #pragma once
 
@@ -24,12 +23,10 @@ namespace hyde::lint {
 /// One top-level function (or constructor / lambda assigned at namespace
 /// scope). Token indices are half-open into LexedFile::tokens.
 struct FunctionInfo {
-  std::string name;          ///< best-effort; "<lambda>" for lambdas
-  std::size_t params_begin = 0;  ///< first token after the opening '('
-  std::size_t params_end = 0;    ///< the closing ')'
-  std::size_t body_begin = 0;    ///< the opening '{'
-  std::size_t body_end = 0;      ///< the matching '}' (== tokens.size() if
-                                 ///< unbalanced)
+  std::string name;            ///< best-effort; "<lambda>" for lambdas
+  std::size_t body_begin = 0;  ///< the opening '{'
+  std::size_t body_end = 0;    ///< the matching '}' (== tokens.size() if
+                               ///< unbalanced)
 };
 
 std::vector<FunctionInfo> find_functions(const LexedFile& lexed);
@@ -38,13 +35,12 @@ std::vector<FunctionInfo> find_functions(const LexedFile& lexed);
 /// (tokens.size() when unbalanced). Non-brace indices map to 0.
 std::vector<std::size_t> match_braces(const std::vector<Token>& tokens);
 
-/// One comment-marker region: `// marker(arg)` binds to the first `{`
+/// One comment-marker region: `// marker` binds to the first `{`
 /// opened within kMarkerBindWindow lines of the marker (possibly on the
 /// marker line itself, as a trailing comment); the region ends at the
 /// matching brace. A marker that never binds has `bound == false`.
 struct MarkerRegion {
   int marker_line = 0;  ///< 1-based line of the marker comment
-  std::string arg;      ///< text inside `(...)` after the marker, or empty
   int first_line = 0;   ///< line opening the region (the bound '{')
   int last_line = 0;    ///< line closing the region
   bool bound = false;
