@@ -2,9 +2,12 @@
 /// \brief Persistent-store benchmark: the warm-over-cold payoff and codec
 /// proof for the store/ subsystem, emitting BENCH_cache.json.
 ///
-/// Three batch runs over the same job list (every registry circuit under the
+/// Four batch runs over the same job list (every registry circuit under the
 /// HYDE system at k=5, seed 1 — the `hyde_cli --batch -s hyde` workload):
 ///
+///  - `nocache`: the NPN cache off (`--no-cache`), the cost every cached
+///    run is weighed against. Its networks differ from the cached runs', so
+///    its checksum does too.
 ///  - `memory`: the in-memory NPN cache only, for wall-clock context.
 ///  - `cold`: a fresh --cache-dir. Every job synthesizes, every template and
 ///    every finished job outcome is entropy-coded and committed to disk.
@@ -28,9 +31,9 @@
 ///     cache_bench --label=store --out=BENCH_cache.json   (full run)
 ///     cache_bench --quick                                (CI smoke)
 ///
-/// --quick shrinks the suite to two circuits and drops the 3x wall-clock
-/// gate (sub-second workloads are all noise); the identity, replay and codec
-/// gates still apply.
+/// --quick shrinks the suite to two circuits, skips the nocache and memory
+/// runs and drops the 3x wall-clock gate (sub-second workloads are all
+/// noise); the identity, replay and codec gates still apply.
 
 #include <chrono>
 #include <cstdint>
@@ -75,13 +78,15 @@ struct RunResult {
 };
 
 /// One whole batch over \p jobs; empty \p cache_dir keeps the cache
-/// memory-only. Each call builds a fresh NpnResultCache and store handle, so
-/// a second run against the same directory models a separate process.
+/// memory-only, \p use_cache false turns it off. Each call builds a fresh
+/// NpnResultCache and store handle, so a second run against the same
+/// directory models a separate process.
 RunResult run_once(const std::string& name,
                    const std::vector<hyde::runtime::BatchJob>& jobs,
-                   const std::string& cache_dir) {
+                   const std::string& cache_dir, bool use_cache = true) {
   hyde::runtime::BatchOptions options;
   options.workers = hyde::runtime::default_worker_count();
+  options.use_cache = use_cache;
   options.cache_dir = cache_dir;
 
   RunResult result;
@@ -157,12 +162,13 @@ int main(int argc, char** argv) {
 
   std::vector<RunResult> results;
   if (!quick) {
+    results.push_back(run_once("nocache", jobs, "", /*use_cache=*/false));
     results.push_back(run_once("memory", jobs, ""));
   }
-  results.push_back(run_once("cold", jobs, cache_dir.string()));
-  const RunResult& cold = results.back();
-  results.push_back(run_once("warm", jobs, cache_dir.string()));
-  const RunResult& warm = results.back();
+  const RunResult cold = run_once("cold", jobs, cache_dir.string());
+  const RunResult warm = run_once("warm", jobs, cache_dir.string());
+  results.push_back(cold);
+  results.push_back(warm);
   fs::remove_all(cache_dir);
 
   bool ok = true;

@@ -1,6 +1,6 @@
 /// Micro-benchmarks of the substrate libraries (google-benchmark): BDD
-/// operations, chart enumeration, compatible classes, graph matching and the
-/// encoder itself.
+/// operations, exact NPN canonicalization, chart enumeration, compatible
+/// classes, graph matching and the encoder itself.
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +10,7 @@
 #include "decomp/compatible.hpp"
 #include "decomp/varpart.hpp"
 #include "graph/matching.hpp"
+#include "tt/npn.hpp"
 #include "tt/truth_table.hpp"
 
 namespace {
@@ -44,6 +45,23 @@ void BM_BddApplyChain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BddApplyChain)->Arg(16)->Arg(32)->Arg(64);
+
+/// One exact canonicalization per iteration; range(0) is the input count,
+/// range(1) selects a random dcset beside the onset (0: onset only).
+void BM_NpnCanonize(benchmark::State& state) {
+  const int vars = static_cast<int>(state.range(0));
+  const auto on = random_table(vars, 17);
+  const auto dc = state.range(1) != 0 ? random_table(vars, 19) & ~on
+                                      : tt::TruthTable::zeros(vars);
+  const tt::Isf f{on, dc};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tt::npn_canonize(f));
+  }
+}
+BENCHMARK(BM_NpnCanonize)
+    ->ArgsProduct({{5, 6, 7}, {0, 1}})
+    ->ArgNames({"vars", "dc"})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_EnumerateColumns(benchmark::State& state) {
   const int bound = static_cast<int>(state.range(0));

@@ -8,8 +8,12 @@
 namespace hyde::net {
 
 Network::Network(std::string model_name)
-    : model_name_(std::move(model_name)),
-      mgr_(std::make_unique<bdd::Manager>(64)) {}
+    : model_name_(std::move(model_name)) {}
+
+bdd::Manager& Network::manager() const {
+  if (!mgr_) mgr_ = std::make_unique<bdd::Manager>(64);
+  return *mgr_;
+}
 
 NodeId Network::add_input(const std::string& name) {
   if (by_name_.count(name) != 0) {
@@ -35,7 +39,7 @@ NodeId Network::add_logic(const std::string& name, std::vector<NodeId> fanins,
       throw std::invalid_argument("Network: fanin out of range for " + name);
     }
   }
-  mgr_->ensure_vars(static_cast<int>(fanins.size()));
+  manager().ensure_vars(static_cast<int>(fanins.size()));
   const NodeId id = static_cast<NodeId>(nodes_.size());
   Node n;
   n.kind = NodeKind::kLogic;
@@ -52,13 +56,14 @@ NodeId Network::add_logic_tt(const std::string& name, std::vector<NodeId> fanins
   if (table.num_vars() != static_cast<int>(fanins.size())) {
     throw std::invalid_argument("Network: table arity mismatch for " + name);
   }
-  mgr_->ensure_vars(table.num_vars());
-  bdd::Bdd local = mgr_->from_truth_table(table);
+  bdd::Manager& mgr = manager();
+  mgr.ensure_vars(table.num_vars());
+  bdd::Bdd local = mgr.from_truth_table(table);
   return add_logic(name, std::move(fanins), std::move(local));
 }
 
 NodeId Network::add_constant(const std::string& name, bool value) {
-  return add_logic(name, {}, mgr_->constant(value));
+  return add_logic(name, {}, manager().constant(value));
 }
 
 void Network::add_output(const std::string& name, NodeId driver) {

@@ -73,9 +73,15 @@ class Network {
   const std::string& model_name() const { return model_name_; }
   void set_model_name(std::string name) { model_name_ = std::move(name); }
 
-  /// The manager holding all local node functions. Usable on const networks
-  /// too: the manager is a workspace, not part of the logical value.
-  bdd::Manager& manager() const { return *mgr_; }
+  /// The manager holding all local node functions, created on first use.
+  /// Usable on const networks too: the manager is a workspace, not part of
+  /// the logical value. Every path that adds a logic node creates it first,
+  /// so a network holding a logic node already owns its manager and
+  /// read-only use of such a network from several threads never races on
+  /// the creation; a network of inputs and outputs only never allocates one.
+  bdd::Manager& manager() const;
+  /// True once the manager exists (see manager()).
+  bool has_manager() const { return mgr_ != nullptr; }
 
   /// Adds a primary input; names must be unique network-wide.
   NodeId add_input(const std::string& name);
@@ -147,7 +153,9 @@ class Network {
 
  private:
   std::string model_name_;
-  std::unique_ptr<bdd::Manager> mgr_;
+  /// Lazily created by manager(); declared before nodes_ so node handles are
+  /// destroyed first.
+  mutable std::unique_ptr<bdd::Manager> mgr_;
   std::vector<Node> nodes_;
   std::vector<NodeId> inputs_;
   std::vector<Output> outputs_;

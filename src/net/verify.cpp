@@ -7,6 +7,14 @@ namespace hyde::net {
 
 namespace {
 
+/// Computed-table cap of the throw-away formal manager. The table otherwise
+/// doubles up to 2^20 entries (about 24 MB) on the circuits whose formal
+/// attempt runs into the node budget. The cap cannot change the outcome: no
+/// GC runs below a budget of at most 2^18 nodes (200k by default), because
+/// the first GC waits for 2^18 live nodes. So the allocated nodes, and the
+/// point where the budget trips, do not depend on cache hits.
+constexpr std::size_t kFormalCacheEntries = std::size_t{1} << 16;
+
 /// SplitMix64 for deterministic random vectors.
 std::uint64_t splitmix64(std::uint64_t& state) {
   state += 0x9E3779B97F4A7C15ull;
@@ -53,6 +61,7 @@ EquivalenceResult check_equivalence(const Network& a, const Network& b,
   try {
     bdd::Manager global(std::max(1, n));
     global.set_node_limit(options.bdd_node_budget);
+    global.set_cache_limit(kFormalCacheEntries);
     std::vector<int> a_pi_var;
     for (int i = 0; i < n; ++i) a_pi_var.push_back(i);
     std::vector<int> b_pi_var(b_to_a.begin(), b_to_a.end());

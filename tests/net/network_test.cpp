@@ -4,6 +4,8 @@
 
 #include <random>
 
+#include "net/blif.hpp"
+
 namespace hyde::net {
 namespace {
 
@@ -189,6 +191,27 @@ TEST(Network, FanoutCount) {
   net.add_logic_tt("h", {f, f}, TruthTable::var(2, 0) ^ TruthTable::var(2, 1));
   EXPECT_EQ(net.fanout_count(f), 3);  // g once + h twice
   EXPECT_EQ(net.fanout_count(a), 2);
+}
+
+TEST(Network, ManagerIsCreatedOnFirstLogicNode) {
+  // Inputs and outputs only: evaluation and a BLIF round trip never need a
+  // BDD manager, so none is allocated.
+  Network net;
+  net.add_input("a");
+  const NodeId b = net.add_input("b");
+  net.add_output("b", b);
+  EXPECT_EQ(net.eval({false, true}), std::vector<bool>{true});
+  const Network back = read_blif_string(write_blif_string(net));
+  EXPECT_EQ(back.eval({true, false}), std::vector<bool>{false});
+  EXPECT_FALSE(net.has_manager());
+  EXPECT_FALSE(back.has_manager());
+
+  // Adding logic creates the manager before the node lands.
+  net.add_constant("one", true);
+  EXPECT_TRUE(net.has_manager());
+  Network tt_net;
+  tt_net.add_logic_tt("c", {}, TruthTable::zeros(0));
+  EXPECT_TRUE(tt_net.has_manager());
 }
 
 TEST(TransferCompose, MovesAcrossManagers) {

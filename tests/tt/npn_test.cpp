@@ -7,7 +7,10 @@
 ///  - soundness: npn_apply(canonical, transform) recovers the original, so
 ///    the representative really is NPN-equivalent to the input;
 ///  - separation: distinct classes never collide — the exhaustive 4-input
-///    sweep must produce exactly the 222 known NPN classes.
+///    sweep must produce exactly the 222 known NPN classes;
+///  - bit identity: the fixed-width kernel returns the same canonical form
+///    and transform as the TruthTable-based reference (tests/oracles), so
+///    cache keys and everything replayed from them never change.
 
 #include "tt/npn.hpp"
 
@@ -19,6 +22,7 @@
 #include <string>
 
 #include "gtest/gtest.h"
+#include "oracles/npn_oracle.hpp"
 #include "tt/truth_table.hpp"
 
 namespace hyde::tt {
@@ -123,6 +127,62 @@ TEST(NpnTest, ExhaustiveFourVariableSweepYields222Classes) {
     canonicals.insert(npn_canonize(f).canonical.on.to_bits());
   }
   EXPECT_EQ(canonicals.size(), 222u);
+}
+
+/// Asserts that the production canonicalizer and the reference agree on the
+/// canonical form and on every field of the transform.
+void expect_matches_reference(const Isf& f) {
+  const NpnCanonization fast = npn_canonize(f);
+  const NpnCanonization ref = npn_canonize_reference(f);
+  EXPECT_EQ(fast.canonical, ref.canonical)
+      << "on=" << f.on.to_bits() << " dc=" << f.dc.to_bits();
+  EXPECT_EQ(fast.transform.perm, ref.transform.perm)
+      << "on=" << f.on.to_bits() << " dc=" << f.dc.to_bits();
+  EXPECT_EQ(fast.transform.input_negations, ref.transform.input_negations)
+      << "on=" << f.on.to_bits() << " dc=" << f.dc.to_bits();
+  EXPECT_EQ(fast.transform.output_negated, ref.transform.output_negated)
+      << "on=" << f.on.to_bits() << " dc=" << f.dc.to_bits();
+}
+
+TEST(NpnTest, MatchesReferenceOnEverySmallIsf) {
+  // Every ISF of 0 to 3 inputs: each minterm is off, on or don't-care
+  // (3^8 = 6561 functions at 3 inputs).
+  for (int n = 0; n <= 3; ++n) {
+    const std::uint64_t size = std::uint64_t{1} << n;
+    std::uint64_t total = 1;
+    for (std::uint64_t m = 0; m < size; ++m) total *= 3;
+    for (std::uint64_t code = 0; code < total; ++code) {
+      Isf f{TruthTable::zeros(n), TruthTable::zeros(n)};
+      std::uint64_t rest = code;
+      for (std::uint64_t m = 0; m < size; ++m, rest /= 3) {
+        if (rest % 3 == 1) f.on.set_bit(m, true);
+        if (rest % 3 == 2) f.dc.set_bit(m, true);
+      }
+      expect_matches_reference(f);
+    }
+  }
+}
+
+TEST(NpnTest, MatchesReferenceOnRandomAndSymmetricIsfs) {
+  // The reference walks 1.3M heap-backed candidates per 7-input call, so the
+  // widest functions get only a few cases.
+  std::mt19937_64 rng(20261017);
+  const int trials[] = {0, 0, 0, 0, 24, 12, 6, 2};
+  for (int n = 4; n <= kMaxExactNpnVars; ++n) {
+    for (int trial = 0; trial < trials[n]; ++trial) {
+      const TruthTable on = random_table(n, rng);
+      // Alternate completely specified functions with ones carrying a dcset.
+      const TruthTable dc =
+          trial % 2 == 0 ? TruthTable::zeros(n) : random_table(n, rng) & ~on;
+      expect_matches_reference(Isf{on, dc});
+    }
+    // Symmetric functions tie many candidates; the first minimum must win.
+    const TruthTable parity = TruthTable::symmetric(n, {1, 3, 5, 7});
+    const TruthTable half = TruthTable::symmetric(n, {n / 2});
+    const TruthTable above_half = TruthTable::symmetric(n, {n / 2 + 1});
+    expect_matches_reference(Isf{parity});
+    expect_matches_reference(Isf{half, above_half});
+  }
 }
 
 TEST(NpnTest, SmallCasesAndErrors) {
