@@ -75,7 +75,7 @@ int main() {
   std::printf("\n%zu jobs in %.2fs wall on %d workers; NPN cache: %llu "
               "lookups, %llu unique functions, %.1f%% observed hit rate\n",
               report.jobs.size(), report.wall_seconds, report.workers,
-              static_cast<unsigned long long>(report.cache.flow_lookups),
+              static_cast<unsigned long long>(report.totals.cache_lookups),
               static_cast<unsigned long long>(report.cache.unique_functions),
               100.0 * report.cache.hit_rate());
   std::printf("\nShape check: HYDE total %s IMODEC-like total; HYDE total %s "

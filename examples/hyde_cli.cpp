@@ -301,26 +301,22 @@ void print_profile(const hyde::core::FlowStats& stats, const char* indent) {
 /// One-line summary of the persistent store's traffic. Printed with a stable
 /// shape in every mode that attaches --cache-dir: the cross-process reuse
 /// test and the CI cold→warm job grep this line for the disk-hit count.
-void print_store_summary(std::uint64_t disk_hits, std::uint64_t disk_misses,
-                         std::uint64_t records, std::uint64_t appends,
-                         std::uint64_t bytes_read, std::uint64_t bytes_written,
-                         double codec_ratio, std::uint64_t evictions,
-                         std::uint64_t corrupt_records, bool readonly,
-                         std::uint64_t job_hits, std::uint64_t job_appends) {
+void print_store_summary(const hyde::store::StoreCounters& sc,
+                         bool readonly) {
   std::printf("store: %llu disk hits, %llu disk misses, %llu records "
               "(%llu appended), %llu bytes read, %llu bytes written, "
               "codec ratio %.3f, %llu evictions, %llu corrupt, "
               "%llu job replays (%llu committed)%s\n",
-              static_cast<unsigned long long>(disk_hits),
-              static_cast<unsigned long long>(disk_misses),
-              static_cast<unsigned long long>(records),
-              static_cast<unsigned long long>(appends),
-              static_cast<unsigned long long>(bytes_read),
-              static_cast<unsigned long long>(bytes_written), codec_ratio,
-              static_cast<unsigned long long>(evictions),
-              static_cast<unsigned long long>(corrupt_records),
-              static_cast<unsigned long long>(job_hits),
-              static_cast<unsigned long long>(job_appends),
+              static_cast<unsigned long long>(sc.disk_hits),
+              static_cast<unsigned long long>(sc.disk_misses),
+              static_cast<unsigned long long>(sc.records),
+              static_cast<unsigned long long>(sc.appends),
+              static_cast<unsigned long long>(sc.bytes_read),
+              static_cast<unsigned long long>(sc.bytes_written),
+              sc.codec_ratio(), static_cast<unsigned long long>(sc.evictions),
+              static_cast<unsigned long long>(sc.corrupt_records),
+              static_cast<unsigned long long>(sc.job_hits),
+              static_cast<unsigned long long>(sc.job_appends),
               readonly ? " (readonly)" : "");
 }
 
@@ -398,30 +394,26 @@ int run_batch_mode(const std::string& system_name, int k, int workers,
   if (profile) {
     std::printf("\nsearch engine: %llu selects, %llu candidates evaluated, "
                 "%llu pruned, %llu memo hits, %llu memo clears\n",
-                static_cast<unsigned long long>(report.search.selects),
+                static_cast<unsigned long long>(report.totals.search_selects),
                 static_cast<unsigned long long>(
-                    report.search.candidates_evaluated),
+                    report.totals.search_candidates_evaluated),
                 static_cast<unsigned long long>(
-                    report.search.candidates_pruned),
-                static_cast<unsigned long long>(report.search.memo_hits),
-                static_cast<unsigned long long>(report.search.memo_clears));
+                    report.totals.search_candidates_pruned),
+                static_cast<unsigned long long>(report.totals.search_memo_hits),
+                static_cast<unsigned long long>(
+                    report.totals.search_memo_clears));
   }
   std::printf("\n%zu jobs in %.2fs wall on %d workers\n", report.jobs.size(),
               report.wall_seconds, report.workers);
   std::printf("NPN cache: %llu lookups, %llu unique functions, "
               "%llu hits / %llu misses observed (%.1f%% hit rate)\n",
-              static_cast<unsigned long long>(report.cache.flow_lookups),
+              static_cast<unsigned long long>(report.totals.cache_lookups),
               static_cast<unsigned long long>(report.cache.unique_functions),
               static_cast<unsigned long long>(report.cache.hits),
               static_cast<unsigned long long>(report.cache.misses),
               100.0 * report.cache.hit_rate());
   if (report.store.enabled) {
-    print_store_summary(report.store.disk_hits, report.store.disk_misses,
-                        report.store.records, report.store.appends,
-                        report.store.bytes_read, report.store.bytes_written,
-                        report.store.codec_ratio(), report.store.evictions,
-                        report.store.corrupt_records, report.store.readonly,
-                        report.store.job_hits, report.store.job_appends);
+    print_store_summary(report.store, report.store.readonly);
   }
 
   if (!json_path.empty()) {
@@ -858,11 +850,7 @@ int main(int argc, char** argv) {
     }
     if (window_disk != nullptr) {
       window_disk->flush();
-      const store::StoreCounters sc = window_disk->counters();
-      print_store_summary(sc.disk_hits, sc.disk_misses, sc.records, sc.appends,
-                          sc.bytes_read, sc.bytes_written, sc.codec_ratio(),
-                          sc.evictions, sc.corrupt_records, cache_readonly,
-                          sc.job_hits, sc.job_appends);
+      print_store_summary(window_disk->counters(), cache_readonly);
     }
     if (profile) {
       print_profile(stats, "  ");
@@ -978,11 +966,7 @@ int main(int argc, char** argv) {
   }
   if (single_disk != nullptr) {
     single_disk->flush();
-    const store::StoreCounters sc = single_disk->counters();
-    print_store_summary(sc.disk_hits, sc.disk_misses, sc.records, sc.appends,
-                        sc.bytes_read, sc.bytes_written, sc.codec_ratio(),
-                        sc.evictions, sc.corrupt_records, cache_readonly,
-                        sc.job_hits, sc.job_appends);
+    print_store_summary(single_disk->counters(), cache_readonly);
   }
   if (best_luts < 0) return usage();
 

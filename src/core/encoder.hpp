@@ -51,6 +51,7 @@ struct EncoderOptions {
   /// manager the encoder runs in). Null falls back to the one-shot
   /// select_bound_set; either way the selected λ' is identical — the engine
   /// only adds memo reuse across the flow's repeated searches.
+  // hyde-knob-ok: engine handle wired by the flow, not a setting.
   decomp::BoundSetSearch* search = nullptr;
   /// Optional counter sink for the Step-8 image-class computations.
   // hyde-knob-ok: counter sink; totals surface via FlowStats, not a flag.

@@ -603,21 +603,7 @@ FlowResult run_flow(const net::Network& input, const FlowOptions& options,
     // Re-apply the flow to its own output (external DCs only make sense on
     // the original interface, so they only feed the first pass).
     FlowResult next = run_flow_once(result.network, options, nullptr);
-    next.stats.decomposition_steps += result.stats.decomposition_steps;
-    next.stats.shannon_fallbacks += result.stats.shannon_fallbacks;
-    next.stats.hyper_groups += result.stats.hyper_groups;
-    next.stats.encoder_runs += result.stats.encoder_runs;
-    next.stats.encoder_random_kept += result.stats.encoder_random_kept;
-    next.stats.cache_lookups += result.stats.cache_lookups;
-    next.stats.bdd_cache_hits += result.stats.bdd_cache_hits;
-    next.stats.bdd_cache_misses += result.stats.bdd_cache_misses;
-    next.stats.bdd_cache_overwrites += result.stats.bdd_cache_overwrites;
-    next.stats.bdd_gc_runs += result.stats.bdd_gc_runs;
-    next.stats.bdd_reorder_runs += result.stats.bdd_reorder_runs;
-    next.stats.bdd_peak_live_nodes =
-        std::max(next.stats.bdd_peak_live_nodes,
-                 result.stats.bdd_peak_live_nodes);
-    next.stats.absorb_search_and_phases(result.stats);
+    merge(next.stats, result.stats);
     result = std::move(next);
   }
   return result;

@@ -23,9 +23,11 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bdd/bdd.hpp"
@@ -108,7 +110,9 @@ struct FlowOptions {
 };
 
 /// Flow outcome counters (area is the post-sweep logic node count; the
-/// mapper refines it with functional dedup / CLB packing).
+/// mapper refines it with functional dedup / CLB packing). Every field has
+/// one row in kFlowFields below, which records its report key, its merge
+/// rule and whether it is deterministic.
 struct FlowStats {
   int decomposition_steps = 0;
   int shannon_fallbacks = 0;
@@ -116,49 +120,37 @@ struct FlowStats {
   int encoder_runs = 0;
   int encoder_random_kept = 0;  ///< Step-8 chose the random encoding
   bool collapse_mode = false;
-  /// NPN-cache consultations by this flow (schedule-independent; global
-  /// hit/miss totals live on the cache itself, which is shared state).
+  /// NPN-cache consultations by this flow (global hit/miss totals live on
+  /// the cache itself, which is shared state).
   int cache_lookups = 0;
 
-  // Persistent-store counters (src/store/persistent_cache.hpp), populated
-  // only when FlowOptions::cache has a persistent tier. Volatile: whether a
-  // key is served from memory or disk depends on which thread warmed the
-  // memory tier first, so these are only emitted in volatile report
-  // sections. Store-level byte/eviction counters live on the store itself.
+  // Persistent-store tier (src/store/persistent_cache.hpp), populated only
+  // when FlowOptions::cache has one.
   std::uint64_t store_disk_hits = 0;    ///< lookups served by the disk tier
   std::uint64_t store_disk_misses = 0;  ///< lookups that missed every tier
 
-  // BDD-kernel counters summed over every manager the flow created (the
-  // global manager plus one per NPN-cache template miss). Volatile in the
-  // sense of run reports: they vary with cache hit patterns and thread
-  // schedule, so they are only emitted in volatile report sections.
+  // BDD kernel, summed over every manager the flow created (the global
+  // manager plus one per NPN-cache template miss).
   std::uint64_t bdd_cache_hits = 0;
   std::uint64_t bdd_cache_misses = 0;
   std::uint64_t bdd_cache_overwrites = 0;
   std::uint64_t bdd_gc_runs = 0;
   std::uint64_t bdd_reorder_runs = 0;
-  std::uint64_t bdd_peak_live_nodes = 0;  ///< max over managers, not a sum
+  std::uint64_t bdd_peak_live_nodes = 0;
 
-  // Bound-set search engine counters (decomp/search.hpp). Volatile like the
-  // bdd_* block: pruning depth and memo contents depend on the engine's
-  // history, so these only appear in volatile report sections.
+  // Bound-set search engine (decomp/search.hpp).
   std::uint64_t search_selects = 0;
   std::uint64_t search_candidates_evaluated = 0;
   std::uint64_t search_candidates_pruned = 0;
   std::uint64_t search_memo_hits = 0;
   std::uint64_t search_memo_clears = 0;
 
-  // Class-computation counters (decomp/compatible.hpp). Volatile like the
-  // search block: they record which compatibility test fired, never
-  // anything the results depend on.
+  // Class computation (decomp/compatible.hpp): which compatibility test
+  // decided a column pair.
   std::uint64_t class_signature_pairs = 0;
   std::uint64_t class_bdd_pairs = 0;
 
-  // Windowed-decomposition counters (part/windowed.hpp). Deterministic for
-  // fixed (input, options) — extraction, budget fallbacks and splits never
-  // depend on the window thread count — but only the windowed engine
-  // populates them, so they are reported in the volatile sections next to
-  // the other engine blocks.
+  // Windowed engine (part/windowed.hpp); zero for whole-network flows.
   int windows_extracted = 0;
   int windows_resynthesized = 0;
   int windows_passthrough = 0;
@@ -167,12 +159,8 @@ struct FlowStats {
   int windows_verify_failures = 0;   ///< per-window checks that forced pass-through
   int window_peak_inputs = 0;        ///< widest extracted window (boundary signals)
   int window_peak_nodes = 0;         ///< largest extracted window (members)
-  double window_extract_seconds = 0.0;  ///< volatile wall clock
-  double window_stitch_seconds = 0.0;   ///< volatile wall clock
-
-  // Windowed scheduling telemetry (volatile: thread count, steal pattern and
-  // wall clock all vary run to run — keep these out of any determinism
-  // checksum).
+  double window_extract_seconds = 0.0;
+  double window_stitch_seconds = 0.0;
   int windows_extract_parallel = 0;  ///< snapshots materialized on workers
   std::uint64_t window_steals = 0;   ///< tasks stolen across worker deques
   int window_workers = 0;            ///< scheduler workers (0 = serial path)
@@ -181,11 +169,10 @@ struct FlowStats {
   double window_max_seconds = 0.0;  ///< slowest single window, wall clock
   int window_max_index = -1;        ///< extraction index of that window
 
-  // Per-phase wall-clock breakdown (volatile; seconds). varpart is the
-  // bound-set search engine's self-timed total, classes covers
-  // compatible-class computation, encoding is encoder wall time net of the
-  // nested bound-set searches it triggers, mapping is filled in by the
-  // baseline mapper after the flow proper.
+  // Per-phase wall clock. varpart is the bound-set search engine's
+  // self-timed total, classes covers compatible-class computation, encoding
+  // is encoder wall time net of the nested bound-set searches it triggers,
+  // mapping is filled in by the baseline mapper after the flow proper.
   double varpart_seconds = 0.0;
   double classes_seconds = 0.0;
   double encoding_seconds = 0.0;
@@ -214,24 +201,137 @@ struct FlowStats {
     varpart_seconds += s.seconds;
   }
 
-  /// Folds another flow's search counters and phase timings into this one
-  /// (multi-pass accumulation, NPN-template sub-flows).
-  void absorb_search_and_phases(const FlowStats& s) {
-    search_selects += s.search_selects;
-    search_candidates_evaluated += s.search_candidates_evaluated;
-    search_candidates_pruned += s.search_candidates_pruned;
-    search_memo_hits += s.search_memo_hits;
-    search_memo_clears += s.search_memo_clears;
-    class_signature_pairs += s.class_signature_pairs;
-    class_bdd_pairs += s.class_bdd_pairs;
-    store_disk_hits += s.store_disk_hits;
-    store_disk_misses += s.store_disk_misses;
-    varpart_seconds += s.varpart_seconds;
-    classes_seconds += s.classes_seconds;
-    encoding_seconds += s.encoding_seconds;
-    mapping_seconds += s.mapping_seconds;
-  }
+  /// Folds another flow's search, classes, store and profile groups into
+  /// this one (NPN-template sub-flows); merge() folds every group.
+  void absorb_search_and_phases(const FlowStats& s);
 };
+
+/// Report section of a FlowStats field: the per-job JSON object it lives in.
+enum class FlowGroup : unsigned {
+  kStats,
+  kBdd,
+  kSearch,
+  kClasses,
+  kWindows,
+  kStore,
+  kProfile,
+};
+
+/// How merge() folds a field: add, take the larger, or leave the receiving
+/// side unchanged (a value assigned once, never folded).
+enum class MergeRule { kSum, kMax, kKeep };
+
+/// One FlowStats field. \p deterministic marks a pure function of (input,
+/// system, seed, options): only those fields appear in the deterministic
+/// report and in the whole-job replay blob, so they must be identical at
+/// every worker count and on a replayed job. Every other field is volatile:
+/// it moves with cache hit patterns, schedule or wall clock, or is simply
+/// not replayed (a replayed job reports zero there).
+template <typename T>
+struct FlowField {
+  T FlowStats::*member;
+  const char* key;  ///< JSON key inside the group's object
+  FlowGroup group;
+  MergeRule rule;
+  bool deterministic = false;
+};
+
+/// The FlowStats field table, in report order: groups in FlowGroup order,
+/// fields in JSON order within each group.
+inline constexpr auto kFlowFields = [] {
+  using enum FlowGroup;
+  using enum MergeRule;
+  using S = FlowStats;
+  return std::tuple{
+      FlowField{&S::decomposition_steps, "decomposition_steps", kStats, kSum,
+                true},
+      FlowField{&S::shannon_fallbacks, "shannon_fallbacks", kStats, kSum,
+                true},
+      FlowField{&S::hyper_groups, "hyper_groups", kStats, kSum, true},
+      FlowField{&S::encoder_runs, "encoder_runs", kStats, kSum, true},
+      FlowField{&S::encoder_random_kept, "encoder_random_kept", kStats, kSum,
+                true},
+      FlowField{&S::collapse_mode, "collapse_mode", kStats, kKeep, true},
+      FlowField{&S::cache_lookups, "cache_lookups", kStats, kSum, true},
+      FlowField{&S::bdd_cache_hits, "cache_hits", kBdd, kSum},
+      FlowField{&S::bdd_cache_misses, "cache_misses", kBdd, kSum},
+      FlowField{&S::bdd_cache_overwrites, "cache_overwrites", kBdd, kSum},
+      FlowField{&S::bdd_gc_runs, "gc_runs", kBdd, kSum},
+      FlowField{&S::bdd_reorder_runs, "reorder_runs", kBdd, kSum},
+      FlowField{&S::bdd_peak_live_nodes, "peak_live_nodes", kBdd, kMax},
+      FlowField{&S::search_selects, "selects", kSearch, kSum},
+      FlowField{&S::search_candidates_evaluated, "candidates_evaluated",
+                kSearch, kSum},
+      FlowField{&S::search_candidates_pruned, "candidates_pruned", kSearch,
+                kSum},
+      FlowField{&S::search_memo_hits, "memo_hits", kSearch, kSum},
+      FlowField{&S::search_memo_clears, "memo_clears", kSearch, kSum},
+      FlowField{&S::class_signature_pairs, "signature_pairs", kClasses, kSum},
+      FlowField{&S::class_bdd_pairs, "bdd_pairs", kClasses, kSum},
+      FlowField{&S::windows_extracted, "extracted", kWindows, kSum},
+      FlowField{&S::windows_resynthesized, "resynthesized", kWindows, kSum},
+      FlowField{&S::windows_passthrough, "passthrough", kWindows, kSum},
+      FlowField{&S::windows_budget_fallbacks, "budget_fallbacks", kWindows,
+                kSum},
+      FlowField{&S::windows_split, "split", kWindows, kSum},
+      FlowField{&S::windows_verify_failures, "verify_failures", kWindows,
+                kSum},
+      FlowField{&S::window_peak_inputs, "peak_inputs", kWindows, kMax},
+      FlowField{&S::window_peak_nodes, "peak_nodes", kWindows, kMax},
+      FlowField{&S::window_extract_seconds, "extract_seconds", kWindows,
+                kSum},
+      FlowField{&S::window_stitch_seconds, "stitch_seconds", kWindows, kSum},
+      FlowField{&S::windows_extract_parallel, "extract_parallel", kWindows,
+                kSum},
+      FlowField{&S::window_steals, "steals", kWindows, kSum},
+      FlowField{&S::window_workers, "workers", kWindows, kMax},
+      FlowField{&S::window_worker_busy_seconds, "worker_busy_seconds",
+                kWindows, kSum},
+      FlowField{&S::window_worker_busy_peak_seconds,
+                "worker_busy_peak_seconds", kWindows, kMax},
+      FlowField{&S::window_max_seconds, "max_window_seconds", kWindows, kMax},
+      FlowField{&S::window_max_index, "max_window_index", kWindows, kKeep},
+      FlowField{&S::store_disk_hits, "disk_hits", kStore, kSum},
+      FlowField{&S::store_disk_misses, "disk_misses", kStore, kSum},
+      FlowField{&S::varpart_seconds, "varpart_seconds", kProfile, kSum},
+      FlowField{&S::classes_seconds, "classes_seconds", kProfile, kSum},
+      FlowField{&S::encoding_seconds, "encoding_seconds", kProfile, kSum},
+      FlowField{&S::mapping_seconds, "mapping_seconds", kProfile, kSum},
+  };
+}();
+
+/// Calls \p fn on every kFlowFields row, in table order.
+template <typename Fn>
+constexpr void for_each_flow_field(Fn&& fn) {
+  std::apply([&fn](const auto&... field) { (fn(field), ...); }, kFlowFields);
+}
+
+/// Mask bit of \p group for merge().
+constexpr unsigned group_bit(FlowGroup group) {
+  return 1u << static_cast<unsigned>(group);
+}
+
+/// Folds \p from into \p into, each field by its rule, restricted to the
+/// groups whose bits are set in \p groups.
+inline void merge(FlowStats& into, const FlowStats& from,
+                  unsigned groups = ~0u) {
+  for_each_flow_field([&into, &from, groups](const auto& field) {
+    if ((groups & group_bit(field.group)) == 0) return;
+    auto& to = into.*field.member;
+    const auto& value = from.*field.member;
+    if (field.rule == MergeRule::kSum) {
+      to += value;
+    } else if (field.rule == MergeRule::kMax) {
+      to = std::max(to, value);
+    }
+  });
+}
+
+inline void FlowStats::absorb_search_and_phases(const FlowStats& s) {
+  merge(*this, s,
+        group_bit(FlowGroup::kSearch) | group_bit(FlowGroup::kClasses) |
+            group_bit(FlowGroup::kStore) | group_bit(FlowGroup::kProfile));
+}
 
 struct FlowResult {
   net::Network network;

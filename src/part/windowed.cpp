@@ -58,37 +58,6 @@ struct WindowTask {
   std::uint64_t cost = 0;
 };
 
-/// Folds a per-window flow's counters into the engine totals (mirrors the
-/// multipass accumulation in core::run_flow).
-void accumulate_flow_stats(core::FlowStats* into, const core::FlowStats& s) {
-  into->decomposition_steps += s.decomposition_steps;
-  into->shannon_fallbacks += s.shannon_fallbacks;
-  into->hyper_groups += s.hyper_groups;
-  into->encoder_runs += s.encoder_runs;
-  into->encoder_random_kept += s.encoder_random_kept;
-  into->cache_lookups += s.cache_lookups;
-  into->bdd_cache_hits += s.bdd_cache_hits;
-  into->bdd_cache_misses += s.bdd_cache_misses;
-  into->bdd_cache_overwrites += s.bdd_cache_overwrites;
-  into->bdd_gc_runs += s.bdd_gc_runs;
-  into->bdd_reorder_runs += s.bdd_reorder_runs;
-  into->bdd_peak_live_nodes =
-      std::max(into->bdd_peak_live_nodes, s.bdd_peak_live_nodes);
-  into->absorb_search_and_phases(s);
-}
-
-/// Folds a nested outcome's full counter set (flow counters plus the
-/// windows_* bookkeeping) into an enclosing outcome or the engine totals.
-void fold_outcome_stats(core::FlowStats* into, const core::FlowStats& s) {
-  accumulate_flow_stats(into, s);
-  into->windows_resynthesized += s.windows_resynthesized;
-  into->windows_passthrough += s.windows_passthrough;
-  into->windows_budget_fallbacks += s.windows_budget_fallbacks;
-  into->windows_split += s.windows_split;
-  into->windows_verify_failures += s.windows_verify_failures;
-  into->windows_extract_parallel += s.windows_extract_parallel;
-}
-
 WindowOutcome resynthesize_window(const net::Network& sub, Window window,
                                   const WindowedFlowOptions& options,
                                   int depth);
@@ -182,7 +151,7 @@ WindowOutcome resynthesize_window(const net::Network& sub, Window window,
         WindowOutcome part = resynthesize_half(sub, sub_half,
                                                std::move(host_half), options,
                                                depth + 1);
-        fold_outcome_stats(&outcome.stats, part.stats);
+        core::merge(outcome.stats, part.stats);
         for (StitchPiece& piece : part.pieces) {
           outcome.pieces.push_back(std::move(piece));
         }
@@ -195,7 +164,7 @@ WindowOutcome resynthesize_window(const net::Network& sub, Window window,
     return outcome;
   }
 
-  accumulate_flow_stats(&outcome.stats, flow.stats);
+  core::merge(outcome.stats, flow.stats);
   if (options.map_windows) {
     const auto map_start = std::chrono::steady_clock::now();
     mapper::dedup_shared_nodes(flow.network);
@@ -418,7 +387,7 @@ WindowedFlowResult run_windowed_flow(const net::Network& input,
   }
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     WindowOutcome& outcome = outcomes[i];
-    fold_outcome_stats(&stats, outcome.stats);
+    core::merge(stats, outcome.stats);
     if (outcome.seconds > stats.window_max_seconds) {
       stats.window_max_seconds = outcome.seconds;
       stats.window_max_index = static_cast<int>(i);

@@ -1,10 +1,10 @@
 #include "runtime/batch.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <exception>
 #include <thread>
+#include <type_traits>
 
 #include <memory>
 
@@ -17,58 +17,6 @@
 namespace hyde::runtime {
 
 namespace {
-
-/// Whole-job replay blob: the deterministic JobReport subset as fixed-width
-/// little-endian u64 fields. Volatile counters (bdd_*, search_*, wall-clock
-/// phases) are deliberately absent — a replayed job reports zeros there, and
-/// the deterministic JSON/CSV subset is bit-identical to the cold run by
-/// construction. Strict decode: any size mismatch rejects the blob.
-constexpr std::size_t kJobBlobFields = 11;
-
-void put_u64le(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::vector<std::uint8_t> serialize_job_outcome(const JobReport& job) {
-  std::vector<std::uint8_t> out;
-  out.reserve(kJobBlobFields * 8);
-  put_u64le(out, static_cast<std::uint64_t>(job.luts));
-  put_u64le(out, static_cast<std::uint64_t>(job.clbs));
-  put_u64le(out, static_cast<std::uint64_t>(job.depth));
-  put_u64le(out, job.verified ? 1 : 0);
-  put_u64le(out, static_cast<std::uint64_t>(job.stats.decomposition_steps));
-  put_u64le(out, static_cast<std::uint64_t>(job.stats.shannon_fallbacks));
-  put_u64le(out, static_cast<std::uint64_t>(job.stats.hyper_groups));
-  put_u64le(out, static_cast<std::uint64_t>(job.stats.encoder_runs));
-  put_u64le(out, static_cast<std::uint64_t>(job.stats.encoder_random_kept));
-  put_u64le(out, job.stats.collapse_mode ? 1 : 0);
-  put_u64le(out, static_cast<std::uint64_t>(job.stats.cache_lookups));
-  return out;
-}
-
-bool deserialize_job_outcome(const std::vector<std::uint8_t>& raw,
-                             JobReport* job) {
-  if (raw.size() != kJobBlobFields * 8) return false;
-  std::size_t at = 0;
-  const auto next = [&raw, &at] {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t{raw[at + static_cast<std::size_t>(i)]} << (8 * i);
-    at += 8;
-    return v;
-  };
-  job->luts = static_cast<int>(next());
-  job->clbs = static_cast<int>(next());
-  job->depth = static_cast<int>(next());
-  job->verified = next() != 0;
-  job->stats.decomposition_steps = static_cast<int>(next());
-  job->stats.shannon_fallbacks = static_cast<int>(next());
-  job->stats.hyper_groups = static_cast<int>(next());
-  job->stats.encoder_runs = static_cast<int>(next());
-  job->stats.encoder_random_kept = static_cast<int>(next());
-  job->stats.collapse_mode = next() != 0;
-  job->stats.cache_lookups = static_cast<int>(next());
-  return true;
-}
 
 /// Digest of everything a job's deterministic outcome depends on: the input
 /// circuit's full BLIF text plus every result-affecting batch knob. Knobs
@@ -106,6 +54,50 @@ std::vector<std::uint8_t> job_blob_name(const BatchJob& job) {
 }
 
 }  // namespace
+
+std::vector<std::uint8_t> serialize_job_outcome(const JobReport& job) {
+  std::vector<std::uint8_t> out;
+  out.reserve(kJobBlobFields * 8);
+  const auto put = [&out](auto value) {
+    const auto v = static_cast<std::uint64_t>(value);
+    for (int i = 0; i < 8; ++i) {
+      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  };
+  put(job.luts);
+  put(job.clbs);
+  put(job.depth);
+  put(job.verified);
+  core::for_each_flow_field([&put, &job](const auto& field) {
+    if (field.deterministic) put(job.stats.*field.member);
+  });
+  return out;
+}
+
+bool deserialize_job_outcome(const std::vector<std::uint8_t>& raw,
+                             JobReport* job) {
+  if (raw.size() != kJobBlobFields * 8) return false;
+  std::size_t at = 0;
+  const auto next = [&raw, &at] {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+      v |= std::uint64_t{raw[at + i]} << (8 * i);
+    }
+    at += 8;
+    return v;
+  };
+  job->luts = static_cast<int>(next());
+  job->clbs = static_cast<int>(next());
+  job->depth = static_cast<int>(next());
+  job->verified = next() != 0;
+  core::for_each_flow_field([job, &next](const auto& field) {
+    if (field.deterministic) {
+      auto& value = job->stats.*field.member;
+      value = static_cast<std::remove_reference_t<decltype(value)>>(next());
+    }
+  });
+  return true;
+}
 
 int default_worker_count() {
   const unsigned hw = std::thread::hardware_concurrency();
@@ -225,76 +217,17 @@ RunReport run_batch(const std::vector<BatchJob>& jobs,
           .count();
 
   for (const JobReport& job : report.jobs) {
-    report.cache.flow_lookups +=
-        static_cast<std::uint64_t>(job.stats.cache_lookups);
-    report.bdd.cache_hits += job.stats.bdd_cache_hits;
-    report.bdd.cache_misses += job.stats.bdd_cache_misses;
-    report.bdd.cache_overwrites += job.stats.bdd_cache_overwrites;
-    report.bdd.gc_runs += job.stats.bdd_gc_runs;
-    report.bdd.reorder_runs += job.stats.bdd_reorder_runs;
-    if (job.stats.bdd_peak_live_nodes > report.bdd.peak_live_nodes) {
-      report.bdd.peak_live_nodes = job.stats.bdd_peak_live_nodes;
-    }
-    report.search.selects += job.stats.search_selects;
-    report.search.candidates_evaluated += job.stats.search_candidates_evaluated;
-    report.search.candidates_pruned += job.stats.search_candidates_pruned;
-    report.search.memo_hits += job.stats.search_memo_hits;
-    report.search.memo_clears += job.stats.search_memo_clears;
-    report.classes.signature_pairs += job.stats.class_signature_pairs;
-    report.classes.bdd_pairs += job.stats.class_bdd_pairs;
-    report.windows.extracted +=
-        static_cast<std::uint64_t>(job.stats.windows_extracted);
-    report.windows.resynthesized +=
-        static_cast<std::uint64_t>(job.stats.windows_resynthesized);
-    report.windows.passthrough +=
-        static_cast<std::uint64_t>(job.stats.windows_passthrough);
-    report.windows.budget_fallbacks +=
-        static_cast<std::uint64_t>(job.stats.windows_budget_fallbacks);
-    report.windows.split +=
-        static_cast<std::uint64_t>(job.stats.windows_split);
-    report.windows.verify_failures +=
-        static_cast<std::uint64_t>(job.stats.windows_verify_failures);
-    report.windows.peak_inputs =
-        std::max(report.windows.peak_inputs, job.stats.window_peak_inputs);
-    report.windows.peak_nodes =
-        std::max(report.windows.peak_nodes, job.stats.window_peak_nodes);
-    report.windows.extract_parallel +=
-        static_cast<std::uint64_t>(job.stats.windows_extract_parallel);
-    report.windows.steals += job.stats.window_steals;
-    report.windows.workers =
-        std::max(report.windows.workers, job.stats.window_workers);
-    report.windows.worker_busy_seconds += job.stats.window_worker_busy_seconds;
-    report.windows.worker_busy_peak_seconds =
-        std::max(report.windows.worker_busy_peak_seconds,
-                 job.stats.window_worker_busy_peak_seconds);
-    report.windows.max_window_seconds =
-        std::max(report.windows.max_window_seconds,
-                 job.stats.window_max_seconds);
+    core::merge(report.totals, job.stats);
   }
   report.cache.unique_functions = cache.size();
-  const NpnCacheCounters counters = cache.counters();
-  report.cache.hits = counters.hits;
-  report.cache.misses = counters.misses;
-  report.cache.races_lost = counters.races_lost;
+  static_cast<NpnCacheCounters&>(report.cache) = cache.counters();
   if (disk_store != nullptr) {
     // Commit before snapshotting so `records` reflects what later runs will
     // actually find on disk.
     disk_store->flush();
-    const store::StoreCounters sc = disk_store->counters();
+    static_cast<store::StoreCounters&>(report.store) = disk_store->counters();
     report.store.enabled = true;
     report.store.readonly = options.cache_readonly;
-    report.store.disk_hits = sc.disk_hits;
-    report.store.disk_misses = sc.disk_misses;
-    report.store.bytes_read = sc.bytes_read;
-    report.store.bytes_written = sc.bytes_written;
-    report.store.raw_bytes = sc.raw_bytes;
-    report.store.coded_bytes = sc.coded_bytes;
-    report.store.evictions = sc.evictions;
-    report.store.corrupt_records = sc.corrupt_records;
-    report.store.appends = sc.appends;
-    report.store.records = sc.records;
-    report.store.job_hits = sc.job_hits;
-    report.store.job_appends = sc.job_appends;
   }
   return report;
 }

@@ -15,6 +15,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -62,6 +63,20 @@ struct BatchOptions {
   /// one shared, mutex-protected pool (bdd/pool.hpp). Result-neutral.
   bool manager_pool = false;
 };
+
+/// Whole-job replay blob: the deterministic JobReport subset as fixed-width
+/// little-endian u64 fields — luts, clbs, depth, verified, then the
+/// FlowStats fields core::kFlowFields marks deterministic, in table order.
+/// Volatile fields are absent: a replayed job reports zeros there, and the
+/// deterministic JSON subset is bit-identical to the cold run by
+/// construction.
+inline constexpr std::size_t kJobBlobFields = 11;
+
+std::vector<std::uint8_t> serialize_job_outcome(const JobReport& job);
+
+/// Strict decode into \p job: any size mismatch rejects the blob (false).
+bool deserialize_job_outcome(const std::vector<std::uint8_t>& raw,
+                             JobReport* job);
 
 /// Number of workers to use when the caller has no preference: the hardware
 /// concurrency, or 1 when it cannot be determined.

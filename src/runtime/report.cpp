@@ -1,6 +1,8 @@
 #include "runtime/report.hpp"
 
 #include <cstdio>
+#include <iterator>
+#include <type_traits>
 
 namespace hyde::runtime {
 
@@ -35,10 +37,64 @@ void append_escaped(std::string& out, const std::string& s) {
   out.push_back('"');
 }
 
+/// Appends \p s as one CSV field, quoted per RFC 4180 when it holds a
+/// separator, a quote or a line break.
+void append_csv_text(std::string& out, const std::string& s) {
+  if (s.find_first_of(",\"\r\n") == std::string::npos) {
+    out += s;
+    return;
+  }
+  out.push_back('"');
+  for (char c : s) {
+    if (c == '"') out.push_back('"');
+    out.push_back(c);
+  }
+  out.push_back('"');
+}
+
 std::string format_double(double value) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.6f", value);
   return buf;
+}
+
+/// A FlowStats value as JSON (\p json) or CSV, which spells booleans 1/0.
+template <typename T>
+std::string format_value(T value, bool json) {
+  if constexpr (std::is_same_v<T, bool>) {
+    if (json) return value ? "true" : "false";
+    return value ? "1" : "0";
+  } else if constexpr (std::is_floating_point_v<T>) {
+    return format_double(value);
+  } else {
+    return std::to_string(value);
+  }
+}
+
+/// Object name of each core::FlowGroup, indexed by its value: per job, and
+/// for the run-level totals. The run level has no `stats` block (those are
+/// per-job results) and takes its `store` block from the store itself.
+constexpr const char* kJobGroupNames[] = {
+    "stats", "bdd", "search", "classes", "windows", "store", "profile"};
+constexpr const char* kRunGroupNames[] = {
+    nullptr, "bdd_kernel", "search", "classes", "windows", nullptr, "profile"};
+static_assert(std::size(kJobGroupNames) ==
+              static_cast<std::size_t>(core::FlowGroup::kProfile) + 1);
+static_assert(std::size(kRunGroupNames) == std::size(kJobGroupNames));
+
+/// `"key": value` pairs of the \p group fields of \p stats that \p take
+/// selects, comma-separated in table order.
+template <typename Take>
+std::string group_fields(const core::FlowStats& stats, std::size_t group,
+                         Take take) {
+  std::string out;
+  core::for_each_flow_field([&](const auto& field) {
+    if (static_cast<std::size_t>(field.group) != group || !take(field)) return;
+    if (!out.empty()) out += ", ";
+    out += std::string("\"") + field.key +
+           "\": " + format_value(stats.*field.member, true);
+  });
+  return out;
 }
 
 }  // namespace
@@ -51,54 +107,24 @@ std::string to_json(const RunReport& report, bool include_volatile) {
   if (include_volatile) {
     out += "  \"workers\": " + std::to_string(report.workers) + ",\n";
     out += "  \"wall_seconds\": " + format_double(report.wall_seconds) + ",\n";
-    out += "  \"bdd_kernel\": {";
-    out += "\"cache_hits\": " + std::to_string(report.bdd.cache_hits);
-    out += ", \"cache_misses\": " + std::to_string(report.bdd.cache_misses);
-    out += ", \"cache_overwrites\": " +
-           std::to_string(report.bdd.cache_overwrites);
-    out += ", \"hit_rate\": " + format_double(report.bdd.hit_rate());
-    out += ", \"gc_runs\": " + std::to_string(report.bdd.gc_runs);
-    out += ", \"reorder_runs\": " + std::to_string(report.bdd.reorder_runs);
-    out += ", \"peak_live_nodes\": " +
-           std::to_string(report.bdd.peak_live_nodes);
-    out += "},\n";
-    out += "  \"search\": {";
-    out += "\"selects\": " + std::to_string(report.search.selects);
-    out += ", \"candidates_evaluated\": " +
-           std::to_string(report.search.candidates_evaluated);
-    out += ", \"candidates_pruned\": " +
-           std::to_string(report.search.candidates_pruned);
-    out += ", \"memo_hits\": " + std::to_string(report.search.memo_hits);
-    out += ", \"memo_clears\": " + std::to_string(report.search.memo_clears);
-    out += "},\n";
-    out += "  \"classes\": {";
-    out += "\"signature_pairs\": " +
-           std::to_string(report.classes.signature_pairs);
-    out += ", \"bdd_pairs\": " + std::to_string(report.classes.bdd_pairs);
-    out += "},\n";
-    out += "  \"windows\": {";
-    out += "\"extracted\": " + std::to_string(report.windows.extracted);
-    out += ", \"resynthesized\": " +
-           std::to_string(report.windows.resynthesized);
-    out += ", \"passthrough\": " + std::to_string(report.windows.passthrough);
-    out += ", \"budget_fallbacks\": " +
-           std::to_string(report.windows.budget_fallbacks);
-    out += ", \"split\": " + std::to_string(report.windows.split);
-    out += ", \"verify_failures\": " +
-           std::to_string(report.windows.verify_failures);
-    out += ", \"peak_inputs\": " + std::to_string(report.windows.peak_inputs);
-    out += ", \"peak_nodes\": " + std::to_string(report.windows.peak_nodes);
-    out += ", \"extract_parallel\": " +
-           std::to_string(report.windows.extract_parallel);
-    out += ", \"steals\": " + std::to_string(report.windows.steals);
-    out += ", \"workers\": " + std::to_string(report.windows.workers);
-    out += ", \"worker_busy_seconds\": " +
-           format_double(report.windows.worker_busy_seconds);
-    out += ", \"worker_busy_peak_seconds\": " +
-           format_double(report.windows.worker_busy_peak_seconds);
-    out += ", \"max_window_seconds\": " +
-           format_double(report.windows.max_window_seconds);
-    out += "},\n";
+    const core::FlowStats& t = report.totals;
+    for (std::size_t g = 0; g < std::size(kRunGroupNames); ++g) {
+      if (kRunGroupNames[g] == nullptr) continue;
+      // Keep-rule fields are never folded, so they have no run-level total.
+      std::string fields = group_fields(t, g, [](const auto& field) {
+        return field.rule != core::MergeRule::kKeep;
+      });
+      if (g == static_cast<std::size_t>(core::FlowGroup::kBdd)) {
+        const std::uint64_t probes = t.bdd_cache_hits + t.bdd_cache_misses;
+        fields += ", \"hit_rate\": " +
+                  format_double(probes == 0
+                                    ? 0.0
+                                    : static_cast<double>(t.bdd_cache_hits) /
+                                          static_cast<double>(probes));
+      }
+      out += std::string("  \"") + kRunGroupNames[g] + "\": {" + fields +
+             "},\n";
+    }
     out += "  \"store\": {";
     out += std::string("\"enabled\": ") +
            (report.store.enabled ? "true" : "false");
@@ -124,7 +150,7 @@ std::string to_json(const RunReport& report, bool include_volatile) {
   out += std::string("    \"enabled\": ") +
          (report.cache.enabled ? "true" : "false") + ",\n";
   out += "    \"max_support\": " + std::to_string(report.cache.max_support) + ",\n";
-  out += "    \"flow_lookups\": " + std::to_string(report.cache.flow_lookups);
+  out += "    \"flow_lookups\": " + std::to_string(report.totals.cache_lookups);
   // The memory tier's distinct-function count is a pure function of the job
   // list only while no persistent tier exists; with a store attached, disk
   // promotions and whole-job replays legitimately change which keys the
@@ -161,95 +187,17 @@ std::string to_json(const RunReport& report, bool include_volatile) {
            (job.verified ? "true" : "false");
     out += ",\n      \"error\": ";
     append_escaped(out, job.error);
-    out += ",\n      \"stats\": {";
-    out += "\"decomposition_steps\": " +
-           std::to_string(job.stats.decomposition_steps);
-    out += ", \"shannon_fallbacks\": " +
-           std::to_string(job.stats.shannon_fallbacks);
-    out += ", \"hyper_groups\": " + std::to_string(job.stats.hyper_groups);
-    out += ", \"encoder_runs\": " + std::to_string(job.stats.encoder_runs);
-    out += ", \"encoder_random_kept\": " +
-           std::to_string(job.stats.encoder_random_kept);
-    out += std::string(", \"collapse_mode\": ") +
-           (job.stats.collapse_mode ? "true" : "false");
-    out += ", \"cache_lookups\": " + std::to_string(job.stats.cache_lookups);
-    out += "}";
     if (include_volatile) {
       out += ",\n      \"seconds\": " + format_double(job.seconds);
-      out += ",\n      \"bdd\": {";
-      out += "\"cache_hits\": " + std::to_string(job.stats.bdd_cache_hits);
-      out += ", \"cache_misses\": " +
-             std::to_string(job.stats.bdd_cache_misses);
-      out += ", \"cache_overwrites\": " +
-             std::to_string(job.stats.bdd_cache_overwrites);
-      out += ", \"gc_runs\": " + std::to_string(job.stats.bdd_gc_runs);
-      out += ", \"reorder_runs\": " +
-             std::to_string(job.stats.bdd_reorder_runs);
-      out += ", \"peak_live_nodes\": " +
-             std::to_string(job.stats.bdd_peak_live_nodes);
-      out += "}";
-      out += ",\n      \"search\": {";
-      out += "\"selects\": " + std::to_string(job.stats.search_selects);
-      out += ", \"candidates_evaluated\": " +
-             std::to_string(job.stats.search_candidates_evaluated);
-      out += ", \"candidates_pruned\": " +
-             std::to_string(job.stats.search_candidates_pruned);
-      out += ", \"memo_hits\": " + std::to_string(job.stats.search_memo_hits);
-      out += ", \"memo_clears\": " +
-             std::to_string(job.stats.search_memo_clears);
-      out += "}";
-      out += ",\n      \"classes\": {";
-      out += "\"signature_pairs\": " +
-             std::to_string(job.stats.class_signature_pairs);
-      out += ", \"bdd_pairs\": " + std::to_string(job.stats.class_bdd_pairs);
-      out += "}";
-      out += ",\n      \"windows\": {";
-      out += "\"extracted\": " + std::to_string(job.stats.windows_extracted);
-      out += ", \"resynthesized\": " +
-             std::to_string(job.stats.windows_resynthesized);
-      out += ", \"passthrough\": " +
-             std::to_string(job.stats.windows_passthrough);
-      out += ", \"budget_fallbacks\": " +
-             std::to_string(job.stats.windows_budget_fallbacks);
-      out += ", \"split\": " + std::to_string(job.stats.windows_split);
-      out += ", \"verify_failures\": " +
-             std::to_string(job.stats.windows_verify_failures);
-      out += ", \"peak_inputs\": " +
-             std::to_string(job.stats.window_peak_inputs);
-      out += ", \"peak_nodes\": " +
-             std::to_string(job.stats.window_peak_nodes);
-      out += ", \"extract_seconds\": " +
-             format_double(job.stats.window_extract_seconds);
-      out += ", \"stitch_seconds\": " +
-             format_double(job.stats.window_stitch_seconds);
-      out += ", \"extract_parallel\": " +
-             std::to_string(job.stats.windows_extract_parallel);
-      out += ", \"steals\": " + std::to_string(job.stats.window_steals);
-      out += ", \"workers\": " + std::to_string(job.stats.window_workers);
-      out += ", \"worker_busy_seconds\": " +
-             format_double(job.stats.window_worker_busy_seconds);
-      out += ", \"worker_busy_peak_seconds\": " +
-             format_double(job.stats.window_worker_busy_peak_seconds);
-      out += ", \"max_window_seconds\": " +
-             format_double(job.stats.window_max_seconds);
-      out += ", \"max_window_index\": " +
-             std::to_string(job.stats.window_max_index);
-      out += "}";
-      out += ",\n      \"store\": {";
-      out += "\"disk_hits\": " + std::to_string(job.stats.store_disk_hits);
-      out += ", \"disk_misses\": " +
-             std::to_string(job.stats.store_disk_misses);
-      out += "}";
-      out += ",\n      \"profile\": {";
-      out += "\"varpart_seconds\": " +
-             format_double(job.stats.varpart_seconds);
-      out += ", \"classes_seconds\": " +
-             format_double(job.stats.classes_seconds);
-      out += ", \"encoding_seconds\": " +
-             format_double(job.stats.encoding_seconds);
-      out += ", \"mapping_seconds\": " +
-             format_double(job.stats.mapping_seconds);
-      out += "}";
+    }
+    for (std::size_t g = 0; g < std::size(kJobGroupNames); ++g) {
+      const std::string fields =
+          group_fields(job.stats, g, [include_volatile](const auto& field) {
+            return include_volatile || field.deterministic;
+          });
+      if (fields.empty()) continue;
+      out += std::string(",\n      \"") + kJobGroupNames[g] + "\": {" +
+             fields + "}";
     }
     out += "\n    }";
     out += i + 1 < report.jobs.size() ? ",\n" : "\n";
@@ -261,57 +209,33 @@ std::string to_json(const RunReport& report, bool include_volatile) {
 
 std::string to_csv(const RunReport& report) {
   std::string out =
-      "circuit,system,k,seed,luts,clbs,depth,verified,error,"
-      "decomposition_steps,shannon_fallbacks,hyper_groups,encoder_runs,"
-      "encoder_random_kept,collapse_mode,cache_lookups,seconds,"
-      "bdd_cache_hits,bdd_cache_misses,bdd_gc_runs,bdd_reorder_runs,"
-      "bdd_peak_live_nodes,"
-      "search_selects,search_evaluated,search_pruned,search_memo_hits,"
-      "varpart_seconds,classes_seconds,encoding_seconds,mapping_seconds,"
-      "class_signature_pairs,class_bdd_pairs,"
-      "windows_extracted,windows_resynthesized,windows_passthrough,"
-      "windows_budget_fallbacks,windows_split,windows_verify_failures,"
-      "windows_extract_parallel,window_steals,window_max_seconds,"
-      "store_disk_hits,store_disk_misses\n";
+      "circuit,system,k,seed,luts,clbs,depth,verified,error,seconds";
+  core::for_each_flow_field([&out](const auto& field) {
+    out += std::string(",") +
+           kJobGroupNames[static_cast<std::size_t>(field.group)] + "." +
+           field.key;
+  });
+  out += "\n";
+  const auto cell = [&out](const auto& value) {
+    out += ',';
+    out += format_value(value, false);
+  };
   for (const JobReport& job : report.jobs) {
-    out += job.circuit + "," + job.system + "," + std::to_string(job.k) + "," +
-           std::to_string(job.seed) + "," + std::to_string(job.luts) + "," +
-           std::to_string(job.clbs) + "," + std::to_string(job.depth) + "," +
-           (job.verified ? "1" : "0") + "," + job.error + "," +
-           std::to_string(job.stats.decomposition_steps) + "," +
-           std::to_string(job.stats.shannon_fallbacks) + "," +
-           std::to_string(job.stats.hyper_groups) + "," +
-           std::to_string(job.stats.encoder_runs) + "," +
-           std::to_string(job.stats.encoder_random_kept) + "," +
-           (job.stats.collapse_mode ? "1" : "0") + "," +
-           std::to_string(job.stats.cache_lookups) + "," +
-           format_double(job.seconds) + "," +
-           std::to_string(job.stats.bdd_cache_hits) + "," +
-           std::to_string(job.stats.bdd_cache_misses) + "," +
-           std::to_string(job.stats.bdd_gc_runs) + "," +
-           std::to_string(job.stats.bdd_reorder_runs) + "," +
-           std::to_string(job.stats.bdd_peak_live_nodes) + "," +
-           std::to_string(job.stats.search_selects) + "," +
-           std::to_string(job.stats.search_candidates_evaluated) + "," +
-           std::to_string(job.stats.search_candidates_pruned) + "," +
-           std::to_string(job.stats.search_memo_hits) + "," +
-           format_double(job.stats.varpart_seconds) + "," +
-           format_double(job.stats.classes_seconds) + "," +
-           format_double(job.stats.encoding_seconds) + "," +
-           format_double(job.stats.mapping_seconds) + "," +
-           std::to_string(job.stats.class_signature_pairs) + "," +
-           std::to_string(job.stats.class_bdd_pairs) + "," +
-           std::to_string(job.stats.windows_extracted) + "," +
-           std::to_string(job.stats.windows_resynthesized) + "," +
-           std::to_string(job.stats.windows_passthrough) + "," +
-           std::to_string(job.stats.windows_budget_fallbacks) + "," +
-           std::to_string(job.stats.windows_split) + "," +
-           std::to_string(job.stats.windows_verify_failures) + "," +
-           std::to_string(job.stats.windows_extract_parallel) + "," +
-           std::to_string(job.stats.window_steals) + "," +
-           format_double(job.stats.window_max_seconds) + "," +
-           std::to_string(job.stats.store_disk_hits) + "," +
-           std::to_string(job.stats.store_disk_misses) + "\n";
+    append_csv_text(out, job.circuit);
+    out += ',';
+    append_csv_text(out, job.system);
+    cell(job.k);
+    cell(job.seed);
+    cell(job.luts);
+    cell(job.clbs);
+    cell(job.depth);
+    cell(job.verified);
+    out += ',';
+    append_csv_text(out, job.error);
+    cell(job.seconds);
+    core::for_each_flow_field(
+        [&cell, &job](const auto& field) { cell(job.stats.*field.member); });
+    out += '\n';
   }
   return out;
 }

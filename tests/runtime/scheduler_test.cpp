@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "csv_split.hpp"
 #include "gtest/gtest.h"
 #include "runtime/batch.hpp"
 #include "runtime/report.hpp"
@@ -169,7 +170,7 @@ TEST(BatchDeterminismTest, OneWorkerAndFourWorkersAgreeBitForBit) {
   const RunReport b = run_batch(jobs, parallel);
   EXPECT_TRUE(a.all_ok());
   EXPECT_TRUE(b.all_ok());
-  EXPECT_GT(a.cache.flow_lookups, 0u);
+  EXPECT_GT(a.totals.cache_lookups, 0);
 
   // The deterministic JSON subset (results, stats, seeds, cache closure) is
   // bit-identical; only wall-clock/worker/observed-traffic fields may differ.
@@ -197,6 +198,27 @@ TEST(BatchDeterminismTest, CacheOffStillDeterministicAndErrorsAreCaptured) {
   EXPECT_NE(json.find("no_such_circuit"), std::string::npos);
   const std::string csv = to_csv(report);
   EXPECT_NE(csv.find("rd73"), std::string::npos);
+}
+
+TEST(BatchReportTest, CsvQuotesTextFieldsPerRfc4180) {
+  // Failing jobs echo their circuit name into the error text, so separators,
+  // quotes and line breaks reach three text columns.
+  const std::vector<BatchJob> jobs = {
+      BatchJob{"rd73", baseline::System::kHyde, 5, 1},
+      BatchJob{"no,such", baseline::System::kHyde, 5, 1},
+      BatchJob{"say \"hi\"\nagain", baseline::System::kHyde, 5, 1}};
+  BatchOptions options;
+  options.use_cache = false;
+  const RunReport report = run_batch(jobs, options);
+
+  const auto records = testing::split_csv(to_csv(report));
+  ASSERT_EQ(records.size(), jobs.size() + 1);
+  for (const auto& record : records) {
+    EXPECT_EQ(record.size(), records[0].size());
+  }
+  EXPECT_EQ(records[2][0], "no,such");
+  EXPECT_EQ(records[2][8], "make_circuit: unknown benchmark no,such");
+  EXPECT_EQ(records[3][0], "say \"hi\"\nagain");
 }
 
 }  // namespace
