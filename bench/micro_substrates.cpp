@@ -1,6 +1,6 @@
 /// Micro-benchmarks of the substrate libraries (google-benchmark): BDD
 /// operations, exact NPN canonicalization, chart enumeration, compatible
-/// classes, graph matching and the encoder itself.
+/// classes, graph matching, XC3000 CLB packing and the encoder itself.
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +10,8 @@
 #include "decomp/compatible.hpp"
 #include "decomp/varpart.hpp"
 #include "graph/matching.hpp"
+#include "mapper/xc3000.hpp"
+#include "mcnc/benchmarks.hpp"
 #include "tt/npn.hpp"
 #include "tt/truth_table.hpp"
 
@@ -129,20 +131,45 @@ void BM_CliquePartition(benchmark::State& state) {
 }
 BENCHMARK(BM_CliquePartition)->Arg(16)->Arg(32)->Arg(64);
 
+/// Args: vertex count, inverse edge density. The small sparse graphs are the
+/// encoder's row-set combination; n = 2048 at density 1/2 has the shape of
+/// an XC3000 pairing graph.
 void BM_BlossomMatching(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
+  const auto denominator = static_cast<std::uint64_t>(state.range(1));
   std::mt19937_64 rng(13);
   std::vector<std::pair<int, int>> edges;
   for (int i = 0; i < n; ++i) {
     for (int j = i + 1; j < n; ++j) {
-      if (rng() % 4 == 0) edges.emplace_back(i, j);
+      if (rng() % denominator == 0) edges.emplace_back(i, j);
     }
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(graph::max_cardinality_matching(n, edges));
   }
 }
-BENCHMARK(BM_BlossomMatching)->Arg(16)->Arg(64)->Arg(128);
+BENCHMARK(BM_BlossomMatching)
+    ->Args({16, 4})
+    ->Args({64, 4})
+    ->Args({128, 4})
+    ->Args({2048, 2})
+    ->Unit(benchmark::kMicrosecond);
+
+/// XC3000 packing of a scale netlist of random 2..5-input gates (already
+/// 5-feasible, so no flow runs first); arg: gates generated, of which the
+/// live cone (counter `luts`) keeps about a third.
+void BM_PackXc3000(benchmark::State& state) {
+  const net::Network network = mcnc::random_multilevel(
+      "pack", 64, 16, static_cast<int>(state.range(0)), 2, 5, 3);
+  const mapper::PairingGraph graph = mapper::xc3000_pairing_graph(network);
+  state.counters["luts"] = graph.num_luts;
+  state.counters["edges"] =
+      static_cast<double>(graph.adjacency.neighbours.size() / 2);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mapper::pack_xc3000(network));
+  }
+}
+BENCHMARK(BM_PackXc3000)->Arg(8000)->Arg(32000)->Unit(benchmark::kMillisecond);
 
 void BM_ChartAssembly(benchmark::State& state) {
   // Example 3.2's ten partitions, the canonical encoder workload.

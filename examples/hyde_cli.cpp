@@ -9,9 +9,10 @@
 ///   --pla-out <f> write the mapped network as a flattened PLA
 ///   --no-verify   skip the random-vector equivalence check
 ///   --profile     print the per-phase wall-clock breakdown (varpart /
-///                 classes / encoding / mapping) plus search-engine counters;
-///                 the same numbers always land in the volatile RunReport
-///                 JSON/CSV sections regardless of this flag
+///                 classes / encoding / mapping / pack / verify) plus
+///                 search-engine counters; the same numbers always land in
+///                 the volatile RunReport JSON/CSV sections regardless of
+///                 this flag
 ///   --reorder <m>  dynamic BDD variable reordering: off (default), sift
 ///                 (soft-budget ladder) or auto (adds the growth trigger);
 ///                 see docs/REORDER.md. Result-affecting: runs with
@@ -289,13 +290,15 @@ struct FlowOverrides {
 void print_profile(const hyde::core::FlowStats& stats, const char* indent) {
   std::printf(
       "%svarpart %.3fs (selects %llu, evaluated %llu, pruned %llu, "
-      "memo hits %llu) | classes %.3fs | encoding %.3fs | mapping %.3fs\n",
+      "memo hits %llu) | classes %.3fs | encoding %.3fs | mapping %.3fs | "
+      "pack %.3fs | verify %.3fs\n",
       indent, stats.varpart_seconds,
       static_cast<unsigned long long>(stats.search_selects),
       static_cast<unsigned long long>(stats.search_candidates_evaluated),
       static_cast<unsigned long long>(stats.search_candidates_pruned),
       static_cast<unsigned long long>(stats.search_memo_hits),
-      stats.classes_seconds, stats.encoding_seconds, stats.mapping_seconds);
+      stats.classes_seconds, stats.encoding_seconds, stats.mapping_seconds,
+      stats.pack_seconds, stats.verify_seconds);
 }
 
 /// One-line summary of the persistent store's traffic. Printed with a stable

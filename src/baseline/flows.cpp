@@ -7,6 +7,16 @@
 
 namespace hyde::baseline {
 
+namespace {
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+}  // namespace
+
 std::string system_name(System system) {
   switch (system) {
     case System::kHyde:
@@ -78,7 +88,9 @@ BaselineResult run_system(const net::Network& input, System system,
   result.luts = mapper::lut_count(flow.network);
   result.depth = mapper::network_depth(flow.network);
   if (k == 5) {
+    const auto pack_start = std::chrono::steady_clock::now();
     result.clbs = mapper::pack_xc3000(flow.network).num_clbs;
+    result.stats.pack_seconds = seconds_since(pack_start);
   }
   result.seconds =
       std::chrono::duration<double>(stop - start).count();
@@ -88,8 +100,10 @@ BaselineResult run_system(const net::Network& input, System system,
     net::EquivalenceOptions eq_options;
     eq_options.random_vectors = verify_vectors;
     eq_options.seed = options.seed * 7919 + 17;
+    const auto verify_start = std::chrono::steady_clock::now();
     result.verified =
         net::check_equivalence(input, flow.network, eq_options).equivalent;
+    result.stats.verify_seconds = seconds_since(verify_start);
   }
   result.network = std::move(flow.network);
   return result;
@@ -120,7 +134,9 @@ BaselineResult run_windowed_system(const net::Network& input,
   result.luts = mapper::lut_count(windowed.network);
   result.depth = mapper::network_depth(windowed.network);
   if (k == 5 && windowed.network.is_k_feasible(k)) {
+    const auto pack_start = std::chrono::steady_clock::now();
     result.clbs = mapper::pack_xc3000(windowed.network).num_clbs;
+    result.stats.pack_seconds = seconds_since(pack_start);
   }
   result.seconds = std::chrono::duration<double>(stop - start).count();
   if (verify_vectors <= 0) {
@@ -129,8 +145,10 @@ BaselineResult run_windowed_system(const net::Network& input,
     net::EquivalenceOptions eq_options;
     eq_options.random_vectors = verify_vectors;
     eq_options.seed = options.flow.seed * 7919 + 17;
+    const auto verify_start = std::chrono::steady_clock::now();
     result.verified =
         net::check_equivalence(input, windowed.network, eq_options).equivalent;
+    result.stats.verify_seconds = seconds_since(verify_start);
   }
   result.network = std::move(windowed.network);
   return result;

@@ -172,11 +172,15 @@ struct FlowStats {
   // Per-phase wall clock. varpart is the bound-set search engine's
   // self-timed total, classes covers compatible-class computation, encoding
   // is encoder wall time net of the nested bound-set searches it triggers,
-  // mapping is filled in by the baseline mapper after the flow proper.
+  // mapping is filled in by the baseline mapper after the flow proper. pack
+  // (XC3000 CLB packing) and verify (the equivalence check) are filled in by
+  // the baseline runner and lie outside BaselineResult::seconds.
   double varpart_seconds = 0.0;
   double classes_seconds = 0.0;
   double encoding_seconds = 0.0;
   double mapping_seconds = 0.0;
+  double pack_seconds = 0.0;
+  double verify_seconds = 0.0;
 
   /// Folds one manager's counters into the flow totals.
   void absorb_bdd_stats(const bdd::ManagerStats& s) {
@@ -297,6 +301,8 @@ inline constexpr auto kFlowFields = [] {
       FlowField{&S::classes_seconds, "classes_seconds", kProfile, kSum},
       FlowField{&S::encoding_seconds, "encoding_seconds", kProfile, kSum},
       FlowField{&S::mapping_seconds, "mapping_seconds", kProfile, kSum},
+      FlowField{&S::pack_seconds, "pack_seconds", kProfile, kSum},
+      FlowField{&S::verify_seconds, "verify_seconds", kProfile, kSum},
   };
 }();
 

@@ -4,7 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <queue>
+#include <numeric>
 #include <stdexcept>
 
 namespace hyde::graph {
@@ -366,96 +366,181 @@ BMatchResult max_weight_b_matching(int num_left, int num_right,
 
 namespace {
 
+inline std::size_t ix(int v) { return static_cast<std::size_t>(v); }
+
+/// Stamp-array helper: returns a fresh stamp, clearing \p marks on the rare
+/// wrap-around so an old stamp can never read as current.
+inline std::uint32_t next_stamp(std::uint32_t& stamp,
+                                std::vector<std::uint32_t>& marks) {
+  if (++stamp == 0) {
+    std::fill(marks.begin(), marks.end(), 0U);
+    stamp = 1;
+  }
+  return stamp;
+}
+
+/// Edmonds' blossom matcher over CSR rows. Between searches every search
+/// label is clean: free, no parent, its own base, and a singleton member
+/// list. A search records each vertex it labels in touched_ and restores
+/// exactly those afterwards, so a search costs what it touches.
+///
+/// label_ folds the textbook `used` flag and the base into one load per
+/// scanned neighbour: an outer (used) vertex's label is its base, an inner
+/// vertex (parent set, not used) is kInner, any other vertex is kFree. A
+/// neighbour that is inner, or outer in v's own blossom, is skipped at once;
+/// the textbook checks would do nothing for it either, since an inner
+/// vertex's mate never has a parent (mark_path sets the parent of a vertex
+/// only together with marking its mate's blossom, which makes the mate
+/// outer).
+///
+/// Blossom members are kept as intrusive lists headed by their base (a base
+/// is its own base, so it heads its own list): a contraction walks only the
+/// lists of the bases it marked, and visits their members in ascending index
+/// order, which is the order the full 0..n-1 rescan of the textbook
+/// formulation enqueues them.
 class Blossom {
  public:
-  Blossom(int n, const std::vector<std::pair<int, int>>& edges)
-      : n_(n), adj_(static_cast<std::size_t>(n)) {
-    for (const auto& [u, v] : edges) {
-      if (u == v) continue;
-      adj_[static_cast<std::size_t>(u)].push_back(v);
-      adj_[static_cast<std::size_t>(v)].push_back(u);
-    }
-    match_.assign(static_cast<std::size_t>(n), -1);
+  explicit Blossom(const CsrGraph& graph)
+      : graph_(graph),
+        n_(graph.num_vertices()),
+        match_(ix(n_), -1),
+        parent_(ix(n_), -1),
+        base_(ix(n_)),
+        next_member_(ix(n_), -1),
+        last_member_(ix(n_)),
+        label_(ix(n_), kFree),
+        lca_mark_(ix(n_), 0),
+        blossom_mark_(ix(n_), 0) {
+    std::iota(base_.begin(), base_.end(), 0);
+    std::iota(last_member_.begin(), last_member_.end(), 0);
   }
 
   std::vector<int> solve() {
     for (int v = 0; v < n_; ++v) {
-      if (match_[static_cast<std::size_t>(v)] == -1) {
+      if (match_[ix(v)] == -1) {
         const int u = find_augmenting_path(v);
         if (u != -1) augment(u);
+        reset_touched();
       }
     }
-    return match_;
+    return std::move(match_);
   }
 
  private:
+  static constexpr int kFree = -1;
+  static constexpr int kInner = -2;
+
+  void reset_touched() {
+    for (const int v : touched_) {
+      label_[ix(v)] = kFree;
+      parent_[ix(v)] = -1;
+      base_[ix(v)] = v;
+      next_member_[ix(v)] = -1;
+      last_member_[ix(v)] = v;
+    }
+    touched_.clear();
+  }
+
   int lca(int a, int b) {
-    std::vector<char> used(static_cast<std::size_t>(n_), 0);
+    const std::uint32_t stamp = next_stamp(lca_stamp_, lca_mark_);
     while (true) {
-      a = base_[static_cast<std::size_t>(a)];
-      used[static_cast<std::size_t>(a)] = 1;
-      if (match_[static_cast<std::size_t>(a)] == -1) break;
-      a = parent_[static_cast<std::size_t>(match_[static_cast<std::size_t>(a)])];
+      a = base_[ix(a)];
+      lca_mark_[ix(a)] = stamp;
+      if (match_[ix(a)] == -1) break;
+      a = parent_[ix(match_[ix(a)])];
     }
     while (true) {
-      b = base_[static_cast<std::size_t>(b)];
-      if (used[static_cast<std::size_t>(b)]) return b;
-      b = parent_[static_cast<std::size_t>(match_[static_cast<std::size_t>(b)])];
+      b = base_[ix(b)];
+      if (lca_mark_[ix(b)] == stamp) return b;
+      b = parent_[ix(match_[ix(b)])];
+    }
+  }
+
+  void mark_base(int b) {
+    if (blossom_mark_[ix(b)] != blossom_stamp_) {
+      blossom_mark_[ix(b)] = blossom_stamp_;
+      marked_bases_.push_back(b);
     }
   }
 
   void mark_path(int v, int b, int child) {
-    while (base_[static_cast<std::size_t>(v)] != b) {
-      const int mv = match_[static_cast<std::size_t>(v)];
-      blossom_[static_cast<std::size_t>(base_[static_cast<std::size_t>(v)])] = 1;
-      blossom_[static_cast<std::size_t>(base_[static_cast<std::size_t>(mv)])] = 1;
-      parent_[static_cast<std::size_t>(v)] = child;
+    while (base_[ix(v)] != b) {
+      const int mv = match_[ix(v)];
+      mark_base(base_[ix(v)]);
+      mark_base(base_[ix(mv)]);
+      parent_[ix(v)] = child;
       child = mv;
-      v = parent_[static_cast<std::size_t>(mv)];
+      v = parent_[ix(mv)];
     }
   }
 
-  int find_augmenting_path(int root) {
-    used_.assign(static_cast<std::size_t>(n_), 0);
-    parent_.assign(static_cast<std::size_t>(n_), -1);
-    base_.resize(static_cast<std::size_t>(n_));
-    for (int i = 0; i < n_; ++i) base_[static_cast<std::size_t>(i)] = i;
+  /// Contracts the blossom closed by the edge (v, to): every member of a
+  /// marked blossom joins cur_base's blossom, and the ones not yet outer
+  /// become outer and are enqueued, in ascending index order.
+  void contract(int v, int to) {
+    const int cur_base = lca(v, to);
+    next_stamp(blossom_stamp_, blossom_mark_);
+    marked_bases_.clear();
+    mark_path(v, cur_base, to);
+    mark_path(to, cur_base, v);
+    members_.clear();
+    for (const int b : marked_bases_) {
+      for (int i = b; i != -1; i = next_member_[ix(i)]) members_.push_back(i);
+    }
+    std::sort(members_.begin(), members_.end());
+    for (const int i : members_) {
+      base_[ix(i)] = cur_base;
+      if (label_[ix(i)] < 0) {
+        touched_.push_back(i);
+        queue_.push_back(i);
+      }
+      label_[ix(i)] = cur_base;
+    }
+    for (const int b : marked_bases_) {
+      if (b == cur_base) continue;
+      next_member_[ix(last_member_[ix(cur_base)])] = b;
+      last_member_[ix(cur_base)] = last_member_[ix(b)];
+    }
+  }
 
-    used_[static_cast<std::size_t>(root)] = 1;
-    std::queue<int> q;
-    q.push(root);
-    while (!q.empty()) {
-      const int v = q.front();
-      q.pop();
-      for (const int to : adj_[static_cast<std::size_t>(v)]) {
-        if (base_[static_cast<std::size_t>(v)] == base_[static_cast<std::size_t>(to)] ||
-            match_[static_cast<std::size_t>(v)] == to) {
-          continue;
-        }
-        if (to == root ||
-            (match_[static_cast<std::size_t>(to)] != -1 &&
-             parent_[static_cast<std::size_t>(match_[static_cast<std::size_t>(to)])] != -1)) {
-          // Found a blossom; contract it.
-          const int cur_base = lca(v, to);
-          blossom_.assign(static_cast<std::size_t>(n_), 0);
-          mark_path(v, cur_base, to);
-          mark_path(to, cur_base, v);
-          for (int i = 0; i < n_; ++i) {
-            if (blossom_[static_cast<std::size_t>(base_[static_cast<std::size_t>(i)])]) {
-              base_[static_cast<std::size_t>(i)] = cur_base;
-              if (!used_[static_cast<std::size_t>(i)]) {
-                used_[static_cast<std::size_t>(i)] = 1;
-                q.push(i);
-              }
-            }
-          }
-        } else if (parent_[static_cast<std::size_t>(to)] == -1) {
-          parent_[static_cast<std::size_t>(to)] = v;
-          if (match_[static_cast<std::size_t>(to)] == -1) {
-            return to;  // augmenting path found
-          }
-          used_[static_cast<std::size_t>(match_[static_cast<std::size_t>(to)])] = 1;
-          q.push(match_[static_cast<std::size_t>(to)]);
+  /// First row position at or after \p e whose neighbour is neither inner
+  /// nor outer in blossom \p v_base: the only ones a scan acts on.
+  // hyde-hot
+  std::size_t skip_settled(std::size_t e, std::size_t end, int v_base) const {
+    const int* neighbours = graph_.neighbours.data();
+    const int* label = label_.data();
+    for (; e < end; ++e) {
+      const int to_label = label[neighbours[e]];
+      if (to_label != kInner && to_label != v_base) break;
+    }
+    return e;
+  }
+
+  int find_augmenting_path(int root) {
+    label_[ix(root)] = root;
+    touched_.push_back(root);
+    queue_.clear();
+    queue_.push_back(root);
+    for (std::size_t head = 0; head < queue_.size(); ++head) {
+      const int v = queue_[head];
+      int v_base = base_[ix(v)];
+      const std::size_t end = graph_.offsets[ix(v) + 1];
+      for (std::size_t e = graph_.offsets[ix(v)];
+           (e = skip_settled(e, end, v_base)) < end; ++e) {
+        const int to = graph_.neighbours[e];
+        if (v_base == base_[ix(to)] || match_[ix(v)] == to) continue;
+        const int to_mate = match_[ix(to)];
+        if (to == root || (to_mate != -1 && parent_[ix(to_mate)] != -1)) {
+          contract(v, to);
+          v_base = base_[ix(v)];
+        } else if (parent_[ix(to)] == -1) {
+          parent_[ix(to)] = v;
+          label_[ix(to)] = kInner;
+          touched_.push_back(to);
+          if (to_mate == -1) return to;  // augmenting path found
+          label_[ix(to_mate)] = base_[ix(to_mate)];
+          touched_.push_back(to_mate);
+          queue_.push_back(to_mate);
         }
       }
     }
@@ -464,25 +549,53 @@ class Blossom {
 
   void augment(int v) {
     while (v != -1) {
-      const int pv = parent_[static_cast<std::size_t>(v)];
-      const int ppv = match_[static_cast<std::size_t>(pv)];
-      match_[static_cast<std::size_t>(v)] = pv;
-      match_[static_cast<std::size_t>(pv)] = v;
+      const int pv = parent_[ix(v)];
+      const int ppv = match_[ix(pv)];
+      match_[ix(v)] = pv;
+      match_[ix(pv)] = v;
       v = ppv;
     }
   }
 
+  const CsrGraph& graph_;
   int n_;
-  std::vector<std::vector<int>> adj_;
   std::vector<int> match_, parent_, base_;
-  std::vector<char> used_, blossom_;
+  std::vector<int> next_member_, last_member_;  ///< blossom member lists
+  std::vector<int> label_;  ///< base if outer, else kInner or kFree
+  std::vector<std::uint32_t> lca_mark_, blossom_mark_;
+  std::uint32_t lca_stamp_ = 0;
+  std::uint32_t blossom_stamp_ = 0;
+  std::vector<int> touched_, queue_, marked_bases_, members_;
 };
 
 }  // namespace
 
+std::vector<int> max_cardinality_matching(const CsrGraph& graph) {
+  return Blossom(graph).solve();
+}
+
 std::vector<int> max_cardinality_matching(
     int n, const std::vector<std::pair<int, int>>& edges) {
-  return Blossom(n, edges).solve();
+  CsrGraph graph;
+  graph.offsets.assign(ix(n) + 1, 0);
+  for (const auto& [u, v] : edges) {
+    if (u < 0 || u >= n || v < 0 || v >= n) {
+      throw std::invalid_argument(
+          "max_cardinality_matching: edge out of range");
+    }
+    if (u == v) continue;
+    ++graph.offsets[ix(u) + 1];
+    ++graph.offsets[ix(v) + 1];
+  }
+  for (int v = 0; v < n; ++v) graph.offsets[ix(v) + 1] += graph.offsets[ix(v)];
+  graph.neighbours.resize(graph.offsets[ix(n)]);
+  std::vector<std::size_t> fill(graph.offsets.begin(), graph.offsets.end() - 1);
+  for (const auto& [u, v] : edges) {
+    if (u == v) continue;
+    graph.neighbours[fill[ix(u)]++] = v;
+    graph.neighbours[fill[ix(v)]++] = u;
+  }
+  return max_cardinality_matching(graph);
 }
 
 }  // namespace hyde::graph

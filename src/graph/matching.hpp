@@ -12,7 +12,9 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace hyde::graph {
@@ -58,11 +60,47 @@ BMatchResult max_weight_b_matching(int num_left, int num_right,
                                    const std::vector<int>& right_capacity,
                                    const std::vector<BMatchEdge>& edges);
 
+/// Undirected graph in compressed sparse row form: vertex v's neighbours are
+/// neighbours[offsets[v] .. offsets[v + 1]), in the order the matcher scans
+/// them. Every edge appears in both endpoints' rows.
+struct CsrGraph {
+  std::vector<std::size_t> offsets{0};  ///< num_vertices() + 1 entries
+  std::vector<int> neighbours;
+
+  int num_vertices() const { return static_cast<int>(offsets.size()) - 1; }
+};
+
 /// Maximum-cardinality matching on a general undirected graph (Edmonds'
-/// blossom algorithm, O(V^3)).
+/// blossom algorithm): one BFS search per still-unmatched vertex, in
+/// ascending vertex order, each growing an alternating tree and contracting
+/// blossoms until it finds an augmenting path or exhausts the tree.
+///
+/// Cost: a search costs what it touches, not O(V). It scans the rows of the
+/// vertices it labels outer, where a neighbour that is inner or already in
+/// the scanning vertex's blossom costs one load, and resets only the labels
+/// it set; the LCA walk marks with a timestamp instead of a fresh O(V)
+/// array; and a contraction visits (and sorts) only the members of the
+/// blossoms it merges instead of rescanning all V vertices.
+///
+/// Output contract: the mate vector is a pure function of the vertex count
+/// and the row order of the adjacency. It is the matching of the textbook
+/// formulation that rescans all V vertices per search and per contraction
+/// (tests/oracles/matching_oracle.hpp), element for element: a contraction
+/// enqueues the new outer vertices in ascending index order, exactly as
+/// that full scan does. The encoder's row-set combination (Step 7) depends
+/// on this, so changes here must keep the oracle tests passing.
+///
+/// \param graph symmetric adjacency; self loops are skipped.
+/// \returns mate vector: mate[v] is v's partner or -1 if unmatched.
+std::vector<int> max_cardinality_matching(const CsrGraph& graph);
+
+/// Edge-list entry point: builds the CSR rows with a stable counting pass
+/// (each vertex's neighbours in edge-list order, self loops dropped,
+/// duplicates kept) and matches them. Throws std::invalid_argument on an
+/// edge endpoint outside [0, n).
 ///
 /// \param n number of vertices.
-/// \param edges undirected edges as (u, v) vertex pairs.
+/// \param edges undirected edges as (u, v) vertex pairs in [0, n).
 /// \returns mate vector: mate[v] is v's partner or -1 if unmatched.
 std::vector<int> max_cardinality_matching(
     int n, const std::vector<std::pair<int, int>>& edges);

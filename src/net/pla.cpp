@@ -1,5 +1,6 @@
 #include "net/pla.hpp"
 
+#include <charconv>
 #include <functional>
 #include <istream>
 #include <ostream>
@@ -24,25 +25,42 @@ struct Cube {
   std::string out;
 };
 
+/// Parses the count after a `.i`, `.o` or `.p` directive: a non-negative
+/// decimal that fits an int, and nothing else.
+int parse_count(std::istringstream& is, const std::string& directive) {
+  std::string token;
+  if (!(is >> token)) {
+    throw std::runtime_error("PLA: missing count after " + directive);
+  }
+  int value = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < 0) {
+    throw std::runtime_error("PLA: bad count after " + directive + ": " +
+                             token);
+  }
+  return value;
+}
+
 }  // namespace
 
 PlaModel read_pla(std::istream& in, const std::string& model_name) {
   PlaHeader header;
   std::vector<Cube> cubes;
   std::string line;
+  std::size_t text_bytes = 0;
   while (std::getline(in, line)) {
+    text_bytes += line.size() + 1;
     if (auto hash = line.find('#'); hash != std::string::npos) line.erase(hash);
     std::istringstream is(line);
     std::string token;
     if (!(is >> token)) continue;
     if (token == ".i") {
-      is >> header.num_inputs;
+      header.num_inputs = parse_count(is, token);
     } else if (token == ".o") {
-      is >> header.num_outputs;
+      header.num_outputs = parse_count(is, token);
     } else if (token == ".p") {
-      int declared = 0;
-      is >> declared;
-      (void)declared;  // informational
+      parse_count(is, token);  // informational
     } else if (token == ".ilb") {
       std::string name;
       while (is >> name) header.input_names.push_back(name);
@@ -70,6 +88,12 @@ PlaModel read_pla(std::istream& in, const std::string& model_name) {
   if (header.num_inputs <= 0 || header.num_outputs <= 0) {
     throw std::runtime_error("PLA: missing .i/.o header");
   }
+  // Every input and output takes at least one byte of the text (a name or a
+  // cube column), so a larger count describes signals that are not there.
+  if (static_cast<std::size_t>(header.num_inputs) > text_bytes ||
+      static_cast<std::size_t>(header.num_outputs) > text_bytes) {
+    throw std::runtime_error("PLA: .i/.o count exceeds the input size");
+  }
   if (!header.input_names.empty() &&
       static_cast<int>(header.input_names.size()) != header.num_inputs) {
     throw std::runtime_error("PLA: .ilb arity mismatch");
@@ -77,6 +101,16 @@ PlaModel read_pla(std::istream& in, const std::string& model_name) {
   if (!header.output_names.empty() &&
       static_cast<int>(header.output_names.size()) != header.num_outputs) {
     throw std::runtime_error("PLA: .ob arity mismatch");
+  }
+
+  // Validate every cube's shape before allocating any per-signal state.
+  for (const Cube& cube : cubes) {
+    if (static_cast<int>(cube.in.size()) != header.num_inputs) {
+      throw std::runtime_error("PLA: cube width mismatch: " + cube.in);
+    }
+    if (static_cast<int>(cube.out.size()) != header.num_outputs) {
+      throw std::runtime_error("PLA: output width mismatch: " + cube.out);
+    }
   }
 
   PlaModel model{Network(model_name), Network(model_name + "_dc"), false};
@@ -90,9 +124,6 @@ PlaModel read_pla(std::istream& in, const std::string& model_name) {
   }
 
   auto cube_bdd = [&](bdd::Manager& mgr, const std::string& in_part) {
-    if (static_cast<int>(in_part.size()) != header.num_inputs) {
-      throw std::runtime_error("PLA: cube width mismatch: " + in_part);
-    }
     mgr.ensure_vars(header.num_inputs);
     bdd::Bdd product = mgr.one();
     for (int v = 0; v < header.num_inputs; ++v) {
@@ -116,9 +147,6 @@ PlaModel read_pla(std::istream& in, const std::string& model_name) {
     dc_fn.push_back(dc_mgr.zero());
   }
   for (const Cube& cube : cubes) {
-    if (static_cast<int>(cube.out.size()) != header.num_outputs) {
-      throw std::runtime_error("PLA: output width mismatch: " + cube.out);
-    }
     for (int o = 0; o < header.num_outputs; ++o) {
       const char c = cube.out[static_cast<std::size_t>(o)];
       if (c == '1') {

@@ -2,9 +2,10 @@
 /// \brief Randomized property tests for the graph algorithms behind class
 /// grouping and chart assembly: the incremental packed-bitset
 /// clique_partition must reproduce the recount-from-scratch reference
-/// partition exactly (same cliques, same order), and max_weight_b_matching /
+/// partition exactly (same cliques, same order), max_weight_b_matching /
 /// Edmonds blossom matching must match exhaustive brute force on every small
-/// seeded instance.
+/// seeded instance, and the blossom must return the textbook reference
+/// matcher's mate vector element for element.
 
 #include "graph/matching.hpp"
 
@@ -15,6 +16,7 @@
 #include <random>
 
 #include "oracles/clique_oracle.hpp"
+#include "oracles/matching_oracle.hpp"
 
 namespace hyde::graph {
 namespace {
@@ -160,6 +162,113 @@ TEST(BlossomProperty, MaximumOnSeededGraphsUpToEight) {
     }
     EXPECT_EQ(matched / 2, best) << "trial " << trial << " n=" << n;
   }
+}
+
+/// Random edge list in random order: each unordered pair present with
+/// probability 1/denominator, listed as (u, v) or (v, u); plus duplicates
+/// and self loops when \p noisy.
+std::vector<std::pair<int, int>> random_edge_list(std::mt19937_64& rng, int n,
+                                                  int denominator,
+                                                  bool noisy) {
+  std::vector<std::pair<int, int>> edges;
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
+      if (rng() % static_cast<std::uint64_t>(denominator) != 0) continue;
+      if (rng() % 2 == 0) {
+        edges.emplace_back(i, j);
+      } else {
+        edges.emplace_back(j, i);
+      }
+    }
+  }
+  if (noisy && n > 0) {
+    const std::size_t extra = edges.size() / 8 + 1;
+    for (std::size_t k = 0; k < extra; ++k) {
+      const int v = static_cast<int>(rng() % static_cast<std::uint64_t>(n));
+      edges.emplace_back(v, v);
+      if (!edges.empty()) edges.push_back(edges[rng() % edges.size()]);
+    }
+  }
+  std::shuffle(edges.begin(), edges.end(), rng);
+  return edges;
+}
+
+TEST(BlossomIdentity, MateMatchesReferenceOnRandomSparseAndDenseGraphs) {
+  std::mt19937_64 rng(31337);
+  for (int trial = 0; trial < 120; ++trial) {
+    const int n = 1 + static_cast<int>(rng() % 300);
+    // Denominators from dense (2) to sparse (~n/2: average degree ~2).
+    const auto sparse = static_cast<std::uint64_t>(std::max(1, n / 2));
+    const int denominator = trial % 3 == 0
+                                ? 2 + static_cast<int>(rng() % 3)
+                                : 2 + static_cast<int>(rng() % sparse);
+    const auto edges = random_edge_list(rng, n, denominator, trial % 2 == 1);
+    EXPECT_EQ(max_cardinality_matching(n, edges),
+              max_cardinality_matching_reference(n, edges))
+        << "trial " << trial << " n=" << n << " 1/" << denominator;
+  }
+}
+
+TEST(BlossomIdentity, MateMatchesReferenceOnSmallNoisyGraphs) {
+  // Many small instances: blossoms nest often and every tie-break shows.
+  std::mt19937_64 rng(8675309);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const int n = 1 + static_cast<int>(rng() % 14);
+    const int denominator = 1 + static_cast<int>(rng() % 4);
+    const auto edges = random_edge_list(rng, n, denominator, trial % 2 == 0);
+    EXPECT_EQ(max_cardinality_matching(n, edges),
+              max_cardinality_matching_reference(n, edges))
+        << "trial " << trial << " n=" << n;
+  }
+}
+
+TEST(BlossomIdentity, MateMatchesReferenceOnCompleteAndIsolatedGraphs) {
+  for (int n : {0, 1, 2, 3, 7, 8, 31, 64, 129}) {
+    EXPECT_EQ(max_cardinality_matching(n, {}),
+              max_cardinality_matching_reference(n, {}))
+        << "empty n=" << n;
+    std::vector<std::pair<int, int>> complete;
+    for (int i = 0; i < n; ++i) {
+      for (int j = i + 1; j < n; ++j) complete.emplace_back(i, j);
+    }
+    EXPECT_EQ(max_cardinality_matching(n, complete),
+              max_cardinality_matching_reference(n, complete))
+        << "complete n=" << n;
+    // The same clique on the odd vertices, with every even vertex isolated.
+    std::vector<std::pair<int, int>> odd_clique;
+    for (int i = 1; i < n; i += 2) {
+      for (int j = i + 2; j < n; j += 2) odd_clique.emplace_back(j, i);
+    }
+    EXPECT_EQ(max_cardinality_matching(n, odd_clique),
+              max_cardinality_matching_reference(n, odd_clique))
+        << "odd clique n=" << n;
+  }
+}
+
+TEST(BlossomIdentity, CsrEntryPointMatchesEdgeListEntryPoint) {
+  std::mt19937_64 rng(1999);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int n = 2 + static_cast<int>(rng() % 60);
+    const auto edges = random_edge_list(rng, n, 3, false);
+    CsrGraph graph;
+    std::vector<std::vector<int>> rows(static_cast<std::size_t>(n));
+    for (const auto& [u, v] : edges) {
+      rows[static_cast<std::size_t>(u)].push_back(v);
+      rows[static_cast<std::size_t>(v)].push_back(u);
+    }
+    for (const auto& row : rows) {
+      graph.neighbours.insert(graph.neighbours.end(), row.begin(), row.end());
+      graph.offsets.push_back(graph.neighbours.size());
+    }
+    EXPECT_EQ(max_cardinality_matching(graph),
+              max_cardinality_matching_reference(n, edges))
+        << "trial " << trial;
+  }
+}
+
+TEST(BlossomIdentity, RejectsOutOfRangeEdges) {
+  EXPECT_THROW(max_cardinality_matching(3, {{0, 3}}), std::invalid_argument);
+  EXPECT_THROW(max_cardinality_matching(3, {{-1, 1}}), std::invalid_argument);
 }
 
 }  // namespace

@@ -2,12 +2,32 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <string>
+
 #include "core/flow.hpp"
 #include "mapper/lutmap.hpp"
 #include "net/blif.hpp"
 
 namespace hyde::net {
 namespace {
+
+/// Peak resident set of this process, in KiB.
+long peak_rss_kib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+/// Expects parsing \p text to throw std::runtime_error without lifting the
+/// process's peak RSS by more than 64 MiB: a rejected header must fail
+/// before any per-signal state is allocated.
+void expect_rejected_without_allocating(const std::string& text) {
+  const long before = peak_rss_kib();
+  EXPECT_THROW(read_pla_string(text), std::runtime_error) << text;
+  EXPECT_LT(peak_rss_kib() - before, 64L * 1024) << text;
+}
 
 constexpr const char* kSmallPla = R"(
 # two-output example
@@ -66,6 +86,34 @@ TEST(PlaReader, RejectsBadInput) {
                std::runtime_error);
   EXPECT_THROW(read_pla_string(".i 2\n.o 1\n.kiss\n11 1\n.e\n"),
                std::runtime_error);
+}
+
+TEST(PlaReader, RejectsHugeCountsWithoutAllocating) {
+  // 300M declared outputs and no cube: parsing once pushed 300M BDD handles
+  // before any check and died with std::bad_alloc.
+  expect_rejected_without_allocating(".i 4\n.o 299999999\n.e\n");
+  expect_rejected_without_allocating(".i 299999999\n.o 1\n.e\n");
+}
+
+TEST(PlaReader, RejectsOverflowingAndMalformedCounts) {
+  // 299999999999 overflows int: once a silently clamped count.
+  expect_rejected_without_allocating(".i 4\n.o 299999999999\n.e\n");
+  expect_rejected_without_allocating(
+      ".i 99999999999999999999\n.o 1\n1 1\n.e\n");
+  EXPECT_THROW(read_pla_string(".i -2\n.o 1\n.e\n"), std::runtime_error);
+  EXPECT_THROW(read_pla_string(".i 2x\n.o 1\n11 1\n.e\n"),
+               std::runtime_error);
+  EXPECT_THROW(read_pla_string(".i\n.o 1\n.e\n"), std::runtime_error);
+  EXPECT_THROW(read_pla_string(".i 2\n.o 1\n.p many\n11 1\n.e\n"),
+               std::runtime_error);
+}
+
+TEST(PlaReader, ChecksCubeWidthsBeforeAllocating) {
+  // A large declared output count that the text does cover (a long comment)
+  // with one short cube: the width check rejects it up front.
+  std::string text = ".i 2\n.o 6000000\n11 1\n";
+  text += "# " + std::string(6000000, 'x') + "\n.e\n";
+  expect_rejected_without_allocating(text);
 }
 
 TEST(PlaRoundTrip, WriteThenReadPreservesFunctions) {
