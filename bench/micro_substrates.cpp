@@ -1,6 +1,7 @@
 /// Micro-benchmarks of the substrate libraries (google-benchmark): BDD
 /// operations, exact NPN canonicalization, chart enumeration, compatible
-/// classes, graph matching, XC3000 CLB packing and the encoder itself.
+/// classes, graph matching, XC3000 CLB packing, simulation-based equivalence
+/// checking and the encoder itself.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +13,7 @@
 #include "graph/matching.hpp"
 #include "mapper/xc3000.hpp"
 #include "mcnc/benchmarks.hpp"
+#include "net/verify.hpp"
 #include "tt/npn.hpp"
 #include "tt/truth_table.hpp"
 
@@ -170,6 +172,31 @@ void BM_PackXc3000(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PackXc3000)->Arg(8000)->Arg(32000)->Unit(benchmark::kMillisecond);
+
+/// check_equivalence's simulation fallback on a registry circuit against a
+/// second copy of itself: a one-node budget skips the formal attempt. Arg 0:
+/// e64 (65 inputs) on 256 random vectors; arg 1: misex3 (14 inputs) on all
+/// 2^14 vectors.
+void BM_CheckEquivalenceSim(benchmark::State& state) {
+  const bool exhaustive = state.range(0) != 0;
+  const std::string name = exhaustive ? "misex3" : "e64";
+  const net::Network a = mcnc::make_circuit(name);
+  const net::Network b = mcnc::make_circuit(name);
+  net::EquivalenceOptions options;
+  options.bdd_node_budget = 1;
+  options.random_vectors = 256;
+  state.SetLabel(name);
+  state.counters["nodes"] = a.num_logic_nodes();
+  for (auto _ : state) {
+    const net::EquivalenceResult result = net::check_equivalence(a, b, options);
+    benchmark::DoNotOptimize(result);
+    if (!result.equivalent || result.method == net::EquivalenceMethod::kFormalBdd) {
+      state.SkipWithError("expected a simulated equivalence");
+      break;
+    }
+  }
+}
+BENCHMARK(BM_CheckEquivalenceSim)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_ChartAssembly(benchmark::State& state) {
   // Example 3.2's ten partitions, the canonical encoder workload.

@@ -15,7 +15,7 @@ namespace hyde::bdd {
 using namespace internal;
 
 namespace {
-constexpr std::size_t kCacheInitialEntries = std::size_t{1} << 12;
+constexpr std::size_t kCacheInitialEntries = std::size_t{1} << 8;
 constexpr std::size_t kCacheMinEntries = std::size_t{1} << 10;
 /// kAuto never fires below this many live nodes — reordering a tiny manager
 /// costs more than it can ever save.

@@ -1,13 +1,13 @@
 #include "net/blif.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <istream>
 #include <map>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -205,6 +205,27 @@ void absorb_latches(ParsedSection* section) {
   }
 }
 
+/// The local function of a .names block: local variable i is input i.
+bdd::Bdd cover_function(bdd::Manager& mgr, const NamesBlock& block) {
+  mgr.ensure_vars(static_cast<int>(block.inputs.size()));
+  bdd::Bdd sum = mgr.zero();
+  for (const auto& cube : block.cubes) {
+    bdd::Bdd product = mgr.one();
+    for (std::size_t i = 0; i < cube.size(); ++i) {
+      if (cube[i] == '1') {
+        product = product & mgr.var(static_cast<int>(i));
+      } else if (cube[i] == '0') {
+        product = product & mgr.nvar(static_cast<int>(i));
+      } else if (cube[i] != '-') {
+        fail(block.line_no, cube, "bad cube character in cover of " + block.output);
+      }
+    }
+    sum = sum | product;
+  }
+  if (block.phase == '0') sum = ~sum;
+  return sum;
+}
+
 /// Builds a network from a parsed section. When \p missing_outputs_as_zero
 /// is set (the .exdc case) undefined output signals become constant 0.
 Network build_section(const ParsedSection& section,
@@ -212,43 +233,52 @@ Network build_section(const ParsedSection& section,
   Network network(section.model_name);
   for (const auto& name : section.input_names) network.add_input(name);
 
-  // Create logic nodes on demand, following dependencies. referenced_at is
-  // the line to blame when a signal has no definition.
-  std::function<NodeId(const std::string&, int)> build =
-      [&](const std::string& name, int referenced_at) -> NodeId {
-    if (NodeId existing = network.find(name); existing != kNoNode) {
-      return existing;
-    }
+  // Creates the logic node for a signal, first creating its missing fanins
+  // depth-first in fanin order. The explicit stack keeps deep netlists off
+  // the call stack; a block already on it is a combinational cycle.
+  // referenced_at is the line to blame when a signal has no definition.
+  struct Pending {
+    const NamesBlock* block;
+    std::vector<NodeId> fanins;
+  };
+  std::vector<Pending> stack;
+  std::unordered_set<const NamesBlock*> open;
+  auto push = [&](const std::string& name, int referenced_at) {
     auto it = section.blocks.find(name);
     if (it == section.blocks.end()) {
       fail(referenced_at == 0 ? section.outputs_line : referenced_at, name,
            "undefined signal");
     }
-    const NamesBlock& block = it->second;
-    std::vector<NodeId> fanins;
-    fanins.reserve(block.inputs.size());
-    for (const auto& in_name : block.inputs) {
-      fanins.push_back(build(in_name, block.line_no));
+    if (!open.insert(&it->second).second) {
+      fail(referenced_at, name, "combinational cycle through " + name);
     }
-
-    bdd::Manager& mgr = network.manager();
-    mgr.ensure_vars(static_cast<int>(block.inputs.size()));
-    bdd::Bdd sum = mgr.zero();
-    for (const auto& cube : block.cubes) {
-      bdd::Bdd product = mgr.one();
-      for (std::size_t i = 0; i < cube.size(); ++i) {
-        if (cube[i] == '1') {
-          product = product & mgr.var(static_cast<int>(i));
-        } else if (cube[i] == '0') {
-          product = product & mgr.nvar(static_cast<int>(i));
-        } else if (cube[i] != '-') {
-          fail(block.line_no, cube, "bad cube character in cover of " + name);
+    stack.push_back({&it->second, {}});
+  };
+  auto build = [&](const std::string& name, int referenced_at) -> NodeId {
+    if (NodeId existing = network.find(name); existing != kNoNode) {
+      return existing;
+    }
+    push(name, referenced_at);
+    NodeId made = kNoNode;
+    while (!stack.empty()) {
+      Pending& top = stack.back();
+      const NamesBlock& block = *top.block;
+      if (top.fanins.size() < block.inputs.size()) {
+        const std::string& in_name = block.inputs[top.fanins.size()];
+        if (NodeId existing = network.find(in_name); existing != kNoNode) {
+          top.fanins.push_back(existing);
+        } else {
+          push(in_name, block.line_no);
         }
+        continue;
       }
-      sum = sum | product;
+      made = network.add_logic(block.output, std::move(top.fanins),
+                               cover_function(network.manager(), block));
+      open.erase(&block);
+      stack.pop_back();
+      if (!stack.empty()) stack.back().fanins.push_back(made);
     }
-    if (block.phase == '0') sum = ~sum;
-    return network.add_logic(name, std::move(fanins), std::move(sum));
+    return made;
   };
 
   for (const auto& name : section.output_names) {

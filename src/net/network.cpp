@@ -1,7 +1,7 @@
 #include "net/network.hpp"
 
 #include <algorithm>
-#include <functional>
+#include <utility>
 #include <sstream>
 #include <stdexcept>
 
@@ -84,22 +84,38 @@ std::string Network::fresh_name(const std::string& prefix) {
 }
 
 std::vector<NodeId> Network::topo_order() const {
+  // Depth-first post-order with an explicit stack of (node, next fanin), so
+  // the depth of the netlist never reaches the call stack.
   std::vector<NodeId> order;
   order.reserve(nodes_.size());
   std::vector<char> state(nodes_.size(), 0);  // 0 unseen, 1 open, 2 done
-  std::function<void(NodeId)> visit = [&](NodeId id) {
-    if (state[static_cast<std::size_t>(id)] == 2) return;
+  std::vector<std::pair<NodeId, std::size_t>> stack;
+  auto open = [&](NodeId id) {
     if (state[static_cast<std::size_t>(id)] == 1) {
       throw std::logic_error("Network: combinational cycle at " +
                              nodes_[static_cast<std::size_t>(id)].name);
     }
     state[static_cast<std::size_t>(id)] = 1;
-    for (NodeId f : nodes_[static_cast<std::size_t>(id)].fanins) visit(f);
-    state[static_cast<std::size_t>(id)] = 2;
-    order.push_back(id);
+    stack.emplace_back(id, 0);
   };
-  for (NodeId id = 0; id < num_nodes(); ++id) {
-    if (!nodes_[static_cast<std::size_t>(id)].dead) visit(id);
+  for (NodeId root = 0; root < num_nodes(); ++root) {
+    if (nodes_[static_cast<std::size_t>(root)].dead ||
+        state[static_cast<std::size_t>(root)] == 2) {
+      continue;
+    }
+    open(root);
+    while (!stack.empty()) {
+      const NodeId id = stack.back().first;
+      const std::vector<NodeId>& fanins = nodes_[static_cast<std::size_t>(id)].fanins;
+      if (stack.back().second < fanins.size()) {
+        const NodeId f = fanins[stack.back().second++];
+        if (state[static_cast<std::size_t>(f)] != 2) open(f);
+        continue;
+      }
+      state[static_cast<std::size_t>(id)] = 2;
+      order.push_back(id);
+      stack.pop_back();
+    }
   }
   return order;
 }

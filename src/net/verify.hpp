@@ -8,6 +8,16 @@
 ///  - *simulation*: exhaustive for small PI counts, seeded random vectors
 ///    otherwise (a fallback the caller can size).
 ///
+/// The simulation is word-parallel: each network's topological order and
+/// local functions are compiled once, then 64 vectors per machine word run
+/// through every logic node, in batches of 512 vectors. It applies the
+/// vectors of a scalar one-Network::eval-per-vector loop, in the same order:
+/// vector m of the exhaustive path drives PI i with bit i of m, and each
+/// random vector takes one splitmix64 draw per PI in \p a's order. The
+/// result is therefore identical field by field: `failing_output` is the
+/// lowest output differing at the first failing vector, and
+/// `counterexample` is that vector in \p a's PI order.
+///
 /// Networks must have identically named primary inputs (any order) and the
 /// same number of outputs (compared positionally, by the output list).
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <random>
 
 namespace hyde::net {
@@ -240,6 +241,39 @@ TEST(BlifReader, LatchOutputClashesAreRejected) {
                                options);
       },
       4, "s");
+}
+
+TEST(BlifReader, CombinationalCycleIsATypedError) {
+  std::ifstream in(std::string(HYDE_BLIF_FIXTURE_DIR) + "/bad_cycle.blif");
+  ASSERT_TRUE(in.good());
+  try {
+    read_blif(in);
+    FAIL() << "cycle accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("combinational cycle"), std::string::npos) << what;
+    EXPECT_NE(what.find("line 6"), std::string::npos) << what;  // .names o y
+    EXPECT_NE(what.find("'o'"), std::string::npos) << what;
+  }
+}
+
+TEST(BlifReader, DeepChainParsesWithoutRecursion) {
+  constexpr int kDepth = 200000;
+  std::string text = ".model chain\n.inputs x0\n.outputs x" + std::to_string(kDepth) + "\n";
+  for (int i = 1; i <= kDepth; ++i) {
+    text += ".names x" + std::to_string(i - 1) + " x" + std::to_string(i) + "\n1 1\n";
+  }
+  text += ".end\n";
+  const Network net = read_blif_string(text);
+  EXPECT_EQ(net.num_logic_nodes(), kDepth);
+  const std::vector<NodeId> order = net.topo_order();
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kDepth) + 1);
+  // Fanins come first, so the chain is in creation order.
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], static_cast<NodeId>(i));
+  }
+  EXPECT_TRUE(net.eval({true})[0]);
+  EXPECT_FALSE(net.eval({false})[0]);
 }
 
 TEST(BlifRoundTrip, FullAdderSurvives) {
