@@ -13,8 +13,7 @@
 ///    BENCH_window.json a determinism proof for the machine that produced
 ///    it.
 ///  - `*reorder_t1/_t2/_t4`: the same windowed flow with auto variable
-///    reordering and the warmed manager pool enabled inside every window
-///    (docs/REORDER.md). Same thread-identity contract; reordering must
+///    reordering enabled inside every window (docs/REORDER.md). Same thread-identity contract; reordering must
 ///    never map fewer windows than the identity order.
 ///  - `scalestress*`: the large netlist again (one row per configuration,
 ///    at 4 threads), with window caps wide enough that its order-adversarial
@@ -61,7 +60,6 @@
 #include <vector>
 
 #include "baseline/flows.hpp"
-#include "bdd/pool.hpp"
 #include "tt/truth_table.hpp"
 #include "mapper/lutmap.hpp"
 #include "mcnc/benchmarks.hpp"
@@ -270,13 +268,11 @@ WorkloadResult bench_windowed(const std::string& base, const Network& input,
         std::max(options.flow.max_collapse_support, max_inputs);
   }
   if (max_nodes > 0) options.window.max_nodes = max_nodes;
-  hyde::bdd::ManagerPool pool;
   if (reorder) {
     // The governance configuration under test: auto sifting inside every
-    // window manager plus warmed-manager recycling across windows. Both are
-    // deterministic, so the t1/t2/t4 checksum gate applies unchanged.
+    // window manager. It is deterministic, so the t1/t2/t4 checksum gate
+    // applies unchanged.
     options.flow.reorder = hyde::bdd::ReorderMode::kAuto;
-    options.flow.manager_pool = &pool;
   }
 
   WorkloadResult result;
@@ -460,7 +456,7 @@ int main(int argc, char** argv) {
     for (int threads : {1, 2, 4}) {
       results.push_back(bench_windowed(base, input, threads));
     }
-    // Reorder + pool configuration: own base name (its counters differ from
+    // Reorder configuration: own base name (its counters differ from
     // the off rows by design), same thread-identity gate.
     for (int threads : {1, 2, 4}) {
       results.push_back(

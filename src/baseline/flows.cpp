@@ -52,15 +52,13 @@ BaselineResult run_system(const net::Network& input, System system, int k,
                           int verify_vectors, std::uint64_t seed,
                           core::DecompCache* cache, int cache_max_support,
                           bdd::ReorderMode reorder,
-                          double reorder_max_growth,
-                          bdd::ManagerPool* manager_pool) {
+                          double reorder_max_growth) {
   core::FlowOptions options = system_flow_options(system, k);
   options.seed = seed;
   options.cache = cache;
   options.cache_max_support = cache_max_support;
   options.reorder = reorder;
   options.reorder_max_growth = reorder_max_growth;
-  options.manager_pool = manager_pool;
   return run_system(input, system, options, verify_vectors);
 }
 

@@ -38,8 +38,8 @@ enum class System {
 /// Human-readable system name for reports.
 std::string system_name(System system);
 
-/// The core flow configuration modelling \p system (seed, cache, reorder
-/// and pool left at their defaults; callers overwrite what they need).
+/// The core flow configuration modelling \p system (seed, cache and reorder
+/// left at their defaults; callers overwrite what they need).
 core::FlowOptions system_flow_options(System system, int k);
 
 /// Runs the full flow for \p system over \p input with k-input LUTs.
@@ -49,15 +49,13 @@ core::FlowOptions system_flow_options(System system, int k);
 /// every job).
 /// \p reorder / \p reorder_max_growth enable dynamic variable reordering in
 /// the flow's global BDD manager (docs/REORDER.md) — result-affecting, see
-/// core::FlowOptions. \p manager_pool recycles warmed managers across
-/// invocations (bdd/pool.hpp); result-neutral, may be shared across threads.
+/// core::FlowOptions.
 BaselineResult run_system(const net::Network& input, System system, int k,
                           int verify_vectors = 256, std::uint64_t seed = 1,
                           core::DecompCache* cache = nullptr,
                           int cache_max_support = 7,
                           bdd::ReorderMode reorder = bdd::ReorderMode::kOff,
-                          double reorder_max_growth = 2.0,
-                          bdd::ManagerPool* manager_pool = nullptr);
+                          double reorder_max_growth = 2.0);
 
 /// Fully-explicit variant: runs \p system's mapping pipeline (including the
 /// resubstitution pass for kSawadaResubLike) over an arbitrary FlowOptions.

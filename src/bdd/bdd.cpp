@@ -149,42 +149,6 @@ void Manager::ensure_level_capacity(int count) {
   }
 }
 
-void Manager::reset(int num_vars) {
-  if (total_ext_refs_ != 2) {
-    throw std::logic_error(
-        "Manager::reset: external handles are still outstanding");
-  }
-  serial_ = next_manager_serial();  // old handles become detectably stale
-  nodes_.clear();                   // capacity retained
-  nodes_.push_back(Node{-1, kZero, kZero, kNil, 1});
-  nodes_.push_back(Node{-1, kOne, kOne, kNil, 1});
-  total_ext_refs_ = 2;
-  free_list_.clear();
-  level_of_.clear();
-  var_at_.clear();
-  num_vars_ = num_vars;
-  ensure_level_capacity(num_vars_);
-  // Warm allocations survive: bucket count and computed-table slots are kept,
-  // only their contents drop.
-  std::fill(unique_buckets_.begin(), unique_buckets_.end(), kNil);
-  cache_clear();
-  compose_maps_.clear();
-  compose_fingerprints_.clear();
-  cache_hits_ = cache_misses_ = cache_inserts_ = cache_overwrites_ = 0;
-  gc_threshold_ = std::size_t{1} << 18;
-  node_limit_ = 0;
-  soft_node_limit_ = 0;
-  gc_runs_ = 0;
-  peak_live_nodes_ = 2;
-  reorder_mode_ = ReorderMode::kOff;
-  reorder_options_ = ReorderOptions{};
-  reorder_max_growth_ = 2.0;
-  reorder_epoch_ = 0;
-  reorder_runs_ = 0;
-  reorder_watermark_ = 2;
-  in_reorder_ = false;
-}
-
 Bdd Manager::make_external(std::uint32_t id) { return Bdd(this, id); }
 
 void Manager::inc_ref(std::uint32_t id) {

@@ -335,14 +335,6 @@ class Manager {
                         const ReorderOptions& options = {});
   ReorderMode reorder_mode() const { return reorder_mode_; }
 
-  /// Recycles the manager for a fresh computation while keeping its warmed
-  /// allocations: node-store capacity, unique-table bucket count and
-  /// computed-table slots survive; contents, counters, the level map and all
-  /// governance knobs are reset to a just-constructed state. Requires that no
-  /// external handles are outstanding (only the two constants may be
-  /// referenced) and throws std::logic_error otherwise. Used by ManagerPool.
-  void reset(int num_vars);
-
   /// Throws std::invalid_argument if the handle came from another manager.
   /// Under HYDE_CHECKED this additionally detects stale handles whose owning
   /// manager was destroyed and its address reused (the handle carries the
@@ -476,8 +468,8 @@ class Manager {
   std::vector<int> var_at_;
 
   // Reorder governance. reorder_epoch_ is published to external caches;
-  // reorder_watermark_ is the live-node count left by the last reorder (or
-  // reset), against which kAuto's growth trigger compares; in_reorder_
+  // reorder_watermark_ is the live-node count left by the last reorder,
+  // against which kAuto's growth trigger compares; in_reorder_
   // suspends the hard node limit and unique-table growth during swaps.
   ReorderMode reorder_mode_ = ReorderMode::kOff;
   ReorderOptions reorder_options_;

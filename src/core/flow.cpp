@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstring>
 #include <map>
-#include <memory>
 #include <set>
 #include <stdexcept>
 #include <unordered_map>
@@ -52,8 +51,7 @@ std::uint64_t cache_fingerprint(const FlowOptions& options) {
   }
   // Reorder knobs are result-affecting (the variable order steers cube-min
   // costs and budget outcomes), so templates computed under different
-  // reorder policies must not be shared. The manager pool is allocation
-  // reuse only and stays out.
+  // reorder policies must not be shared.
   if (options.reorder != bdd::ReorderMode::kOff) {
     mix(static_cast<std::uint64_t>(options.reorder));
     std::uint64_t growth_bits = 0;
@@ -611,23 +609,6 @@ FlowResult run_flow(const net::Network& input, const FlowOptions& options,
 
 namespace {
 
-/// Owns the flow's global manager for the duration of run_flow_once and, when
-/// a pool is configured, returns it on every exit path (including the
-/// std::length_error unwind the windowed engine relies on). Declared before
-/// every Bdd local so the manager is destroyed/released last.
-struct GlobalManagerGuard {
-  bdd::ManagerPool* pool = nullptr;
-  std::unique_ptr<bdd::Manager> mgr;
-
-  GlobalManagerGuard(bdd::ManagerPool* p, int num_vars) : pool(p) {
-    mgr = pool != nullptr ? pool->acquire(num_vars)
-                          : std::make_unique<bdd::Manager>(num_vars);
-  }
-  ~GlobalManagerGuard() {
-    if (pool != nullptr && mgr != nullptr) pool->release(std::move(mgr));
-  }
-};
-
 FlowResult run_flow_once(const net::Network& input, const FlowOptions& options,
                          const net::Network* external_dc) {
   FlowResult result;
@@ -635,9 +616,8 @@ FlowResult run_flow_once(const net::Network& input, const FlowOptions& options,
   net::Network& out = result.network;
   out.set_model_name(input.model_name());
 
-  GlobalManagerGuard gm_guard(options.manager_pool,
-                              std::max(2, input.num_nodes()));
-  bdd::Manager& gm = *gm_guard.mgr;
+  // Declared before every Bdd local so the manager is destroyed last.
+  bdd::Manager gm(std::max(2, input.num_nodes()));
   if (options.bdd_node_limit != 0) gm.set_node_limit(options.bdd_node_limit);
   if (options.reorder != bdd::ReorderMode::kOff) {
     gm.set_reorder_mode(options.reorder, options.reorder_max_growth);

@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "bdd/bdd.hpp"
-#include "bdd/pool.hpp"
 #include "core/decomp_cache.hpp"
 #include "core/encoder.hpp"
 #include "decomp/search.hpp"
@@ -99,14 +98,6 @@ struct FlowOptions {
   /// kAuto growth trigger: reorder when live nodes exceed this factor of the
   /// watermark left by the last reorder. Must be > 1.
   double reorder_max_growth = 2.0;
-
-  /// Optional pool of warmed managers (bdd/pool.hpp): the flow acquires its
-  /// global manager from the pool and releases it on exit instead of
-  /// constructing/destroying one per invocation. Purely an allocation-reuse
-  /// knob — never result-affecting — so excluded from the fingerprint. The
-  /// pool must outlive every flow using it; it is safe to share one pool
-  /// across batch worker threads.
-  bdd::ManagerPool* manager_pool = nullptr;
 };
 
 /// Flow outcome counters (area is the post-sweep logic node count; the

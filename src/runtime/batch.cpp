@@ -20,7 +20,7 @@ namespace {
 
 /// Digest of everything a job's deterministic outcome depends on: the input
 /// circuit's full BLIF text plus every result-affecting batch knob. Knobs
-/// with a result-identity contract (worker count, manager pool) are
+/// with a result-identity contract (the worker count) are
 /// excluded — replaying across them is the point. Goes into the blob key,
 /// so a mismatch is a clean miss.
 std::uint64_t job_fingerprint(const BatchJob& job, const BatchOptions& options,
@@ -139,20 +139,12 @@ RunReport run_batch(const std::vector<BatchJob>& jobs,
     tiered = std::make_unique<store::TieredCache>(&cache, disk_store.get());
     shared_cache = tiered.get();
   }
-  // One pool for the whole batch: managers warmed by any job are reused by
-  // whichever job acquires next. Outlives the scheduler block below, so
-  // every job has released its manager before the pool dies.
-  bdd::ManagerPool manager_pool;
-  bdd::ManagerPool* shared_pool =
-      options.manager_pool ? &manager_pool : nullptr;
-
   const auto start = std::chrono::steady_clock::now();
   {
     JobScheduler pool(report.workers);
     store::PersistentStore* job_store = disk_store.get();
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      pool.submit([&jobs, &report, &options, shared_cache, shared_pool,
-                   job_store, i] {
+      pool.submit([&jobs, &report, &options, shared_cache, job_store, i] {
         const BatchJob& job = jobs[i];
         JobReport& out = report.jobs[i];
         out.circuit = job.circuit;
@@ -188,7 +180,6 @@ RunReport run_batch(const std::vector<BatchJob>& jobs,
           flow_options.cache_max_support = options.cache_max_support;
           flow_options.reorder = options.reorder;
           flow_options.reorder_max_growth = options.reorder_max_growth;
-          flow_options.manager_pool = shared_pool;
           const baseline::BaselineResult result = baseline::run_system(
               input, job.system, flow_options, options.verify_vectors);
           out.luts = result.luts;

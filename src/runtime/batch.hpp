@@ -59,9 +59,6 @@ struct BatchOptions {
   /// fingerprint — but still bit-identical across worker counts.
   bdd::ReorderMode reorder = bdd::ReorderMode::kOff;
   double reorder_max_growth = 2.0;
-  /// Recycle warmed BDD managers across the batch's flow invocations through
-  /// one shared, mutex-protected pool (bdd/pool.hpp). Result-neutral.
-  bool manager_pool = false;
 };
 
 /// Whole-job replay blob: the deterministic JobReport subset as fixed-width

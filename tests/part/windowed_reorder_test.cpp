@@ -1,14 +1,13 @@
 /// \file windowed_reorder_test.cpp
 /// \brief Windowed flow x reorder x threads: every reorder mode must stay
-/// bit-identical across thread counts, reorder must never hurt the fallback
-/// ladder under a tight budget, and the manager pool must be result-neutral.
+/// bit-identical across thread counts, and reorder must never hurt the
+/// fallback ladder under a tight budget.
 
 #include "part/windowed.hpp"
 
 #include <string>
 
 #include "baseline/flows.hpp"
-#include "bdd/pool.hpp"
 #include "gtest/gtest.h"
 #include "mcnc/benchmarks.hpp"
 #include "net/blif.hpp"
@@ -77,27 +76,6 @@ TEST(WindowedReorderTest, TightBudgetLadderNeverGetsWorseWithReorder) {
                 sift_result.stats.windows_split,
             off_result.stats.windows_passthrough +
                 off_result.stats.windows_split);
-}
-
-TEST(WindowedReorderTest, ManagerPoolIsResultNeutral) {
-  // The pool recycles warmed managers across windows; it must never change a
-  // single bit of the output, with or without reordering in the mix.
-  const net::Network input = mcnc::make_circuit("rd84");
-  for (const bdd::ReorderMode mode :
-       {bdd::ReorderMode::kOff, bdd::ReorderMode::kAuto}) {
-    const WindowedFlowResult plain =
-        run_windowed_flow(input, reorder_options(mode, 2));
-
-    bdd::ManagerPool pool;
-    WindowedFlowOptions pooled_options = reorder_options(mode, 2);
-    pooled_options.flow.manager_pool = &pool;
-    const WindowedFlowResult pooled = run_windowed_flow(input, pooled_options);
-
-    EXPECT_EQ(net::write_blif_string(plain.network),
-              net::write_blif_string(pooled.network))
-        << "mode " << static_cast<int>(mode);
-    EXPECT_GT(pool.stats().acquires, 0u);
-  }
 }
 
 }  // namespace
