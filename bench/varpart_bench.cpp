@@ -15,8 +15,13 @@
 ///     varpart_bench --quick                                      (CI smoke)
 ///
 /// Checksums are FNV-1a mixes of the selected bound sets, compatible-class
-/// counts and the mapped networks' BLIF text.
+/// counts and the mapped networks' BLIF text. The full run's
+/// greedy_research_x16 / _x17 rows sit on either side of
+/// kTruthTableChartMaxVars (truth-table path vs BDD-cut path), and its
+/// `per_candidate_us` section times one candidate count on each path at
+/// 12/14/16/17 variables — the evidence behind the constant.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -27,6 +32,7 @@
 
 #include "bdd/bdd.hpp"
 #include "core/flow.hpp"
+#include "decomp/chart.hpp"
 #include "decomp/search.hpp"
 #include "decomp/varpart.hpp"
 #include "mcnc/benchmarks.hpp"
@@ -79,6 +85,8 @@ struct WorkloadResult {
 /// re-search workload and a subset of the circuits).
 const std::map<std::string, std::uint64_t> kExpected = {
     {"greedy_research_x14", 5587587915482528037ull},
+    {"greedy_research_x16", 11899183647479969957ull},
+    {"greedy_research_x17", 11899183647479969957ull},
     {"greedy_research_x12", 11899183647479969957ull},
     {"flow_5xp1", 17060763005454109403ull},
     {"flow_rd73", 2641502980892965035ull},
@@ -133,6 +141,77 @@ WorkloadResult bench_greedy_research(int num_vars, int functions, int rounds) {
   result.seconds = seconds_since(start);
   result.checksum = checksum;
   return result;
+}
+
+/// One `per_candidate_us` row (microseconds).
+struct CandidateCost {
+  const char* shape = "";
+  int num_vars = 0;
+  double cut_us = 0.0;
+  double table_us = 0.0;
+  double table_load_us = 0.0;
+};
+
+/// Per-candidate cost of the two chart paths at \p num_vars variables: the
+/// mean time of one unbounded column count over random 4-variable bound sets,
+/// by the BDD-cut path (count_columns_bounded) and by the truth-table chart
+/// (loaded past its search limit so 17 variables can be measured; the
+/// one-off load per select is reported separately). Two shapes bracket the
+/// BDD size: a random function (BDD of about 2^n/n nodes) and an OR of
+/// adjacent-pair ANDs (about n nodes). Returns false if the two paths ever
+/// disagree.
+bool bench_candidate_cost(int num_vars, bool random, CandidateCost* cost) {
+  Manager mgr(num_vars);
+  std::uint64_t state = 0xC0FFEE + static_cast<std::uint64_t>(num_vars);
+  Bdd on = mgr.zero();
+  if (random) {
+    on = random_bdd(mgr, num_vars, state);
+  } else {
+    for (int v = 0; v + 1 < num_vars; v += 2) {
+      on = on | (mgr.var(v) & mgr.var(v + 1));
+    }
+    if (num_vars % 2 != 0) on = on ^ mgr.var(num_vars - 1);
+  }
+  const hyde::decomp::IsfBdd f{on, mgr.zero()};
+  std::vector<std::vector<int>> bounds;
+  for (int i = 0; i < 64; ++i) {
+    std::vector<int> bound;
+    while (bound.size() < 4) {
+      const int v = static_cast<int>(splitmix64(state) %
+                                     static_cast<std::uint64_t>(num_vars));
+      if (std::find(bound.begin(), bound.end(), v) == bound.end()) {
+        bound.push_back(v);
+      }
+    }
+    std::sort(bound.begin(), bound.end());
+    bounds.push_back(bound);
+  }
+  std::vector<int> cut_counts;
+  auto start = std::chrono::steady_clock::now();
+  for (const std::vector<int>& bound : bounds) {
+    hyde::decomp::DecompSpec spec;
+    spec.mgr = &mgr;
+    spec.f = f;
+    spec.bound = bound;
+    cut_counts.push_back(hyde::decomp::count_columns_bounded(spec, 0).count);
+  }
+  cost->cut_us =
+      seconds_since(start) * 1e6 / static_cast<double>(bounds.size());
+
+  hyde::decomp::TruthTableChart chart;
+  start = std::chrono::steady_clock::now();
+  if (!chart.load(mgr, f, num_vars)) return false;
+  cost->table_load_us = seconds_since(start) * 1e6;
+  bool agree = true;
+  start = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < bounds.size(); ++i) {
+    agree &= chart.count_columns(bounds[i], 0).count == cut_counts[i];
+  }
+  cost->table_us =
+      seconds_since(start) * 1e6 / static_cast<double>(bounds.size());
+  cost->shape = random ? "random" : "and_or";
+  cost->num_vars = num_vars;
+  return agree;
 }
 
 /// Whole HYDE flow (decomposition + encoding, no mapping) over a registry
@@ -213,11 +292,35 @@ int main(int argc, char** argv) {
 
   std::vector<WorkloadResult> results;
   results.push_back(bench_greedy_research(num_vars, functions, rounds));
+  if (!quick) {
+    // One row on each side of the truth-table support limit. On dense
+    // random functions every candidate of a greedy step ties (all 2^|bound|
+    // columns differ), so these rows time the full candidate sweep and their
+    // checksum — the tie-break to the lowest variables — equals x12's.
+    results.push_back(bench_greedy_research(16, 2, 1));
+    results.push_back(bench_greedy_research(17, 2, 1));
+  }
   for (const std::string& circuit : circuits) {
     results.push_back(bench_flow(circuit));
   }
 
   if (!checksums_match(results)) return 1;
+
+  std::vector<CandidateCost> costs;
+  if (!quick) {
+    for (const bool random : {true, false}) {
+      for (const int n : {12, 14, 16, 17}) {
+        CandidateCost cost;
+        if (!bench_candidate_cost(n, random, &cost)) {
+          std::fprintf(stderr,
+                       "varpart_bench: chart paths disagree at %d variables\n",
+                       n);
+          return 1;
+        }
+        costs.push_back(cost);
+      }
+    }
+  }
 
   std::string json;
   json += "{\n";
@@ -227,7 +330,23 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     append_json(json, results[i], i + 1 == results.size());
   }
-  json += "  ]\n}\n";
+  json += "  ]";
+  if (!costs.empty()) {
+    json += ",\n  \"per_candidate_us\": [\n";
+    for (std::size_t i = 0; i < costs.size(); ++i) {
+      char buf[160];
+      std::snprintf(buf, sizeof(buf),
+                    "    {\"shape\": \"%s\", \"vars\": %d, \"cut\": %.2f, "
+                    "\"table\": %.2f, \"table_load\": %.2f}%s\n",
+                    costs[i].shape, costs[i].num_vars, costs[i].cut_us,
+                    costs[i].table_us,
+                    costs[i].table_load_us,
+                    i + 1 == costs.size() ? "" : ",");
+      json += buf;
+    }
+    json += "  ]";
+  }
+  json += "\n}\n";
 
   if (out_path.empty()) {
     std::fputs(json.c_str(), stdout);

@@ -558,13 +558,14 @@ void print_result(const Config& c, const std::string& name,
 void print_profile(const core::FlowStats& stats, const char* indent) {
   std::printf(
       "%svarpart %.3fs (selects %llu, evaluated %llu, pruned %llu, "
-      "memo hits %llu) | classes %.3fs | encoding %.3fs | mapping %.3fs | "
-      "pack %.3fs | verify %.3fs\n",
+      "memo hits %llu, truth-table %llu) | classes %.3fs | encoding %.3fs | "
+      "mapping %.3fs | pack %.3fs | verify %.3fs\n",
       indent, stats.varpart_seconds,
       static_cast<unsigned long long>(stats.search_selects),
       static_cast<unsigned long long>(stats.search_candidates_evaluated),
       static_cast<unsigned long long>(stats.search_candidates_pruned),
       static_cast<unsigned long long>(stats.search_memo_hits),
+      static_cast<unsigned long long>(stats.search_candidates_tt),
       stats.classes_seconds, stats.encoding_seconds, stats.mapping_seconds,
       stats.pack_seconds, stats.verify_seconds);
 }
@@ -658,11 +659,14 @@ int run_batch_mode(const Config& c) {
     if (c.profile) print_profile(job.stats, "             ");
   }
   if (c.profile) {
-    std::printf("\nsearch engine: %llu selects, %llu candidates evaluated, "
-                "%llu pruned, %llu memo hits, %llu memo clears\n",
+    std::printf("\nsearch engine: %llu selects, %llu candidates evaluated "
+                "(%llu on truth tables), %llu pruned, %llu memo hits, "
+                "%llu memo clears\n",
                 static_cast<unsigned long long>(report.totals.search_selects),
                 static_cast<unsigned long long>(
                     report.totals.search_candidates_evaluated),
+                static_cast<unsigned long long>(
+                    report.totals.search_candidates_tt),
                 static_cast<unsigned long long>(
                     report.totals.search_candidates_pruned),
                 static_cast<unsigned long long>(report.totals.search_memo_hits),

@@ -20,6 +20,11 @@ constexpr std::size_t kCacheMinEntries = std::size_t{1} << 10;
 /// kAuto never fires below this many live nodes — reordering a tiny manager
 /// costs more than it can ever save.
 constexpr std::size_t kAutoReorderFloor = std::size_t{1} << 12;
+/// Repeating masks of truth-table positions 0..5 within one 64-bit word:
+/// bit m of kTableVarMask[i] is (m >> i) & 1.
+constexpr std::uint64_t kTableVarMask[6] = {
+    0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
+    0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
 
 std::uint64_t next_manager_serial() {
   static std::atomic<std::uint64_t> counter{0};
@@ -966,23 +971,88 @@ tt::TruthTable Manager::to_truth_table(const Bdd& f,
   if (n > tt::TruthTable::kMaxVars) {
     throw std::invalid_argument("to_truth_table: too many variables");
   }
-  std::vector<int> table_pos(num_vars_, -1);
-  for (int i = 0; i < n; ++i) table_pos[vars[static_cast<std::size_t>(i)]] = i;
-  tt::TruthTable result(n);
-  for (std::uint64_t m = 0; m < result.size(); ++m) {
-    std::uint32_t cur = f.id_;
-    while (cur > kOne) {
-      const Node& node = nodes_[cur];
-      const int level = table_pos[node.var];
-      if (level < 0) {
-        throw std::invalid_argument(
-            "to_truth_table: function depends on a variable outside vars");
-      }
-      cur = ((m >> level) & 1) ? node.hi : node.lo;
+  std::vector<int> position(static_cast<std::size_t>(num_vars_), -1);
+  const auto position_of = [&](std::uint32_t id) {
+    const int p = position[static_cast<std::size_t>(nodes_[id].var)];
+    if (p < 0) {
+      throw std::invalid_argument(
+          "to_truth_table: function depends on a variable outside vars");
     }
-    if (cur == kOne) result.set_bit(m, true);
+    return p;
+  };
+  // The 64-bit table over positions 0..5 of a node whose variables all sit
+  // there, in any order. Tables of more than 6 variables memoize it in a
+  // direct-mapped cache (a collision only recomputes).
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> memo(n > 6 ? 1024 : 0);
+  const auto low_word = [&](const auto& self,
+                            std::uint32_t id) -> std::uint64_t {
+    if (id <= kOne) return id == kOne ? ~std::uint64_t{0} : 0;
+    auto* slot = memo.empty() ? nullptr : &memo[id & 1023];
+    if (slot != nullptr && slot->first == id) return slot->second;
+    const std::uint64_t mask = kTableVarMask[position_of(id)];
+    const std::uint64_t word = (self(self, nodes_[id].lo) & ~mask) |
+                               (self(self, nodes_[id].hi) & mask);
+    if (slot != nullptr) *slot = {id, word};
+    return word;
+  };
+
+  if (n <= 6) {
+    for (int i = 0; i < n; ++i) {
+      position[static_cast<std::size_t>(vars[static_cast<std::size_t>(i)])] =
+          i;
+    }
+    return tt::TruthTable::from_words(n, {low_word(low_word, f.id_)});
   }
-  return result;
+
+  // Wider tables are built in the manager's current order — the deepest of
+  // \p vars at position 0, the topmost at n-1 — so every BDD path visits
+  // strictly decreasing positions and a node's table is its two children's
+  // tables side by side. Word-level variable swaps then move each variable
+  // to the position the caller asked for.
+  std::vector<int> built(vars);
+  std::sort(built.begin(), built.end(),
+            [this](int a, int b) { return level_of(a) > level_of(b); });
+  for (int i = 0; i < n; ++i) {
+    position[static_cast<std::size_t>(built[static_cast<std::size_t>(i)])] = i;
+  }
+  std::vector<std::uint64_t> words(std::size_t{1} << (n - 6), 0);
+  // Writes the table of node id over positions 0..top (top >= 5) into the
+  // 2^(top-5) words at base.
+  const auto fill = [&](const auto& self, std::uint32_t id, int top,
+                        std::size_t base) -> void {
+    const auto at = [&](std::size_t w) {
+      return words.begin() + static_cast<std::ptrdiff_t>(w);
+    };
+    const std::size_t count = std::size_t{1} << (top - 5);
+    if (id <= kOne || position_of(id) < 6) {
+      std::fill_n(at(base), count, low_word(low_word, id));
+      return;
+    }
+    const std::size_t half = count / 2;
+    if (position_of(id) == top) {
+      self(self, nodes_[id].lo, top - 1, base);
+      self(self, nodes_[id].hi, top - 1, base + half);
+    } else {
+      // The node does not test position top: both halves are equal.
+      self(self, id, top - 1, base);
+      std::copy_n(at(base), half, at(base + half));
+    }
+  };
+  fill(fill, f.id_, n - 1, 0);
+
+  // Move vars[i] to position i; built[] tracks which variable sits where.
+  for (int i = 0; i < n; ++i) {
+    const int var = vars[static_cast<std::size_t>(i)];
+    const int at = position[static_cast<std::size_t>(var)];
+    if (at == i) continue;
+    tt::swap_vars_in_place(words.data(), n, i, at);
+    const int displaced = built[static_cast<std::size_t>(i)];
+    std::swap(built[static_cast<std::size_t>(i)],
+              built[static_cast<std::size_t>(at)]);
+    position[static_cast<std::size_t>(displaced)] = at;
+    position[static_cast<std::size_t>(var)] = i;
+  }
+  return tt::TruthTable::from_words(n, std::move(words));
 }
 
 bool Manager::eval(const Bdd& f, const std::vector<bool>& assignment) {

@@ -135,6 +135,7 @@ struct FlowStats {
   std::uint64_t search_candidates_pruned = 0;
   std::uint64_t search_memo_hits = 0;
   std::uint64_t search_memo_clears = 0;
+  std::uint64_t search_candidates_tt = 0;  ///< counted on truth tables
 
   // Class computation (decomp/compatible.hpp): which compatibility test
   // decided a column pair.
@@ -193,6 +194,7 @@ struct FlowStats {
     search_candidates_pruned += s.candidates_pruned;
     search_memo_hits += s.memo_hits;
     search_memo_clears += s.memo_clears;
+    search_candidates_tt += s.candidates_tt;
     varpart_seconds += s.seconds;
   }
 
@@ -261,6 +263,7 @@ inline constexpr auto kFlowFields = [] {
                 kSum},
       FlowField{&S::search_memo_hits, "memo_hits", kSearch, kSum},
       FlowField{&S::search_memo_clears, "memo_clears", kSearch, kSum},
+      FlowField{&S::search_candidates_tt, "candidates_tt", kSearch, kSum},
       FlowField{&S::class_signature_pairs, "signature_pairs", kClasses, kSum},
       FlowField{&S::class_bdd_pairs, "bdd_pairs", kClasses, kSum},
       FlowField{&S::windows_extracted, "extracted", kWindows, kSum},

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <iterator>
 #include <stdexcept>
 #include <unordered_map>
 
 #include "bdd/transfer.hpp"
+#include "tt/truth_table.hpp"
 
 namespace hyde::decomp {
 
@@ -182,7 +185,169 @@ struct CutChart {
   std::unordered_map<std::uint64_t, std::size_t> column_memo_;
 };
 
+/// Hash of one block of `words` words of both tables.
+// hyde-hot
+std::uint64_t block_hash(const std::uint64_t* on, const std::uint64_t* dc,
+                         std::size_t words) {
+  std::uint64_t h = 0x9E3779B97F4A7C15ull;
+  for (std::size_t w = 0; w < words; ++w) {
+    h = (h ^ on[w]) * 0xFF51AFD7ED558CCDull;
+    h = (h ^ dc[w]) * 0xC4CEB9FE1A85EC53ull;
+  }
+  return h ^ (h >> 32);
+}
+
 }  // namespace
+
+bool TruthTableChart::load(bdd::Manager& mgr, const IsfBdd& f, int max_vars) {
+  loaded_ = false;
+  const std::vector<int> on_vars = mgr.support(f.on);
+  const std::vector<int> dc_vars = mgr.support(f.dc);
+  std::vector<int> both;
+  std::set_union(on_vars.begin(), on_vars.end(), dc_vars.begin(),
+                 dc_vars.end(), std::back_inserter(both));
+  if (static_cast<int>(both.size()) > max_vars) return false;
+  num_vars_ = static_cast<int>(both.size());
+  on_ = mgr.to_truth_table(f.on, both).words();
+  dc_ = mgr.to_truth_table(f.dc, both).words();
+  at_ = std::move(both);
+  loaded_ = true;
+  return true;
+}
+
+bool TruthTableChart::dc_is_zero() const {
+  return std::all_of(dc_.begin(), dc_.end(),
+                     [](std::uint64_t w) { return w == 0; });
+}
+
+int TruthTableChart::arrange(const std::vector<int>& bound, bool exact) {
+  top_vars_.clear();
+  for (int v : bound) {
+    if (std::find(at_.begin(), at_.end(), v) != at_.end()) {
+      top_vars_.push_back(v);
+    }
+  }
+  const int n = num_vars_;
+  const int p = static_cast<int>(top_vars_.size());
+  const auto position = [this](int var) {
+    return static_cast<int>(std::find(at_.begin(), at_.end(), var) -
+                            at_.begin());
+  };
+  const auto swap_positions = [&](int a, int b) {
+    tt::swap_vars_in_place(on_.data(), n, a, b);
+    tt::swap_vars_in_place(dc_.data(), n, a, b);
+    std::swap(at_[static_cast<std::size_t>(a)],
+              at_[static_cast<std::size_t>(b)]);
+  };
+  if (exact) {
+    for (int i = 0; i < p; ++i) {
+      const int target = n - 1 - i;
+      const int from = position(top_vars_[static_cast<std::size_t>(i)]);
+      if (from != target) swap_positions(from, target);
+    }
+    return p;
+  }
+  // Any order of the bound set on top gives the same column count, so only
+  // the bound variables below the top region move, each into a top slot
+  // that holds a free variable.
+  const auto in_bound = [this](int var) {
+    return std::find(top_vars_.begin(), top_vars_.end(), var) !=
+           top_vars_.end();
+  };
+  int slot = n - p;
+  for (int v : top_vars_) {
+    const int from = position(v);
+    if (from >= n - p) continue;
+    while (in_bound(at_[static_cast<std::size_t>(slot)])) ++slot;
+    swap_positions(from, slot);
+  }
+  return p;
+}
+
+BoundedCount TruthTableChart::count_blocks(int p, int max_columns,
+                                           bool record) {
+  const int rest = num_vars_ - p;
+  const std::size_t blocks = std::size_t{1} << p;
+  std::size_t capacity = 2;
+  while (capacity < 2 * blocks) capacity *= 2;
+  slots_.assign(capacity, -1);
+  const std::size_t mask = capacity - 1;
+  BoundedCount result;
+
+  // Blocks of at least one word are compared in place; narrower blocks are
+  // packed, onset bits above dc bits, into one key word.
+  const std::size_t words = rest >= 6 ? std::size_t{1} << (rest - 6) : 0;
+  const unsigned width = rest >= 6 ? 64 : 1u << rest;
+  const std::uint64_t bits =
+      width == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
+  const auto key = [&](std::size_t b) {
+    const std::size_t bit = b * width;
+    const unsigned shift = static_cast<unsigned>(bit & 63);
+    return (((on_[bit >> 6] >> shift) & bits) << width) |
+           ((dc_[bit >> 6] >> shift) & bits);
+  };
+  const auto same = [&](std::size_t a, std::size_t b) {
+    if (words == 0) return key(a) == key(b);
+    const std::size_t bytes = words * sizeof(std::uint64_t);
+    return std::memcmp(&on_[a * words], &on_[b * words], bytes) == 0 &&
+           std::memcmp(&dc_[a * words], &dc_[b * words], bytes) == 0;
+  };
+  for (std::size_t b = 0; b < blocks; ++b) {
+    std::uint64_t h = words == 0
+                          ? key(b) * 0x9E3779B97F4A7C15ull
+                          : block_hash(&on_[b * words], &dc_[b * words], words);
+    std::size_t i = static_cast<std::size_t>(h ^ (h >> 29)) & mask;
+    bool seen = false;
+    while (slots_[i] >= 0) {
+      if (same(static_cast<std::size_t>(slots_[i]), b)) {
+        seen = true;
+        break;
+      }
+      i = (i + 1) & mask;
+    }
+    if (seen) continue;
+    slots_[i] = static_cast<std::int32_t>(b);
+    ++result.count;
+    if (record) reps_.push_back(b);
+    if (max_columns > 0 && result.count > max_columns) {
+      result.pruned = true;
+      break;
+    }
+  }
+  return result;
+}
+
+BoundedCount TruthTableChart::count_columns(const std::vector<int>& bound,
+                                            int max_columns) {
+  return count_blocks(arrange(bound, false), max_columns, false);
+}
+
+std::vector<ColumnSignature> TruthTableChart::column_signatures(
+    const std::vector<int>& bound) {
+  const int p = arrange(bound, true);
+  reps_.clear();
+  count_blocks(p, 0, true);
+  const int rest = num_vars_ - p;
+  std::vector<ColumnSignature> sigs(reps_.size());
+  for (std::size_t c = 0; c < reps_.size(); ++c) {
+    if (rest >= 6) {
+      const std::size_t words = std::size_t{1} << (rest - 6);
+      const auto first = static_cast<std::ptrdiff_t>(reps_[c] * words);
+      const auto last = first + static_cast<std::ptrdiff_t>(words);
+      sigs[c].on.assign(on_.begin() + first, on_.begin() + last);
+      sigs[c].care.assign(dc_.begin() + first, dc_.begin() + last);
+      for (std::uint64_t& w : sigs[c].care) w = ~w;
+    } else {
+      const unsigned width = 1u << rest;
+      const std::uint64_t bits = (std::uint64_t{1} << width) - 1;
+      const std::size_t bit = reps_[c] * width;
+      const unsigned shift = static_cast<unsigned>(bit & 63);
+      sigs[c].on = {(on_[bit >> 6] >> shift) & bits};
+      sigs[c].care = {~(dc_[bit >> 6] >> shift) & bits};
+    }
+  }
+  return sigs;
+}
 
 bdd::Bdd minterm_cube(bdd::Manager& mgr, const std::vector<int>& vars,
                       std::uint64_t minterm) {

@@ -14,9 +14,17 @@
 /// single lock-step traversal costing O(nodes above the cut) instead of
 /// 2^|X| cofactor pairs. Column indicators fall out of the same pair graph
 /// by propagating bound-literal cubes top-down.
+///
+/// Functions with at most kTruthTableChartMaxVars support variables have a
+/// second, count-only path: TruthTableChart holds f as two packed truth
+/// tables and counts a chart's columns as the distinct blocks of the tables
+/// once the bound set is swapped to the top positions. It gives exactly the
+/// counts of the cut path (see TruthTableChart for the contract); the cut
+/// path stays the only one for wider supports and is its test oracle.
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -113,6 +121,71 @@ struct BoundedCount {
 /// max_columns <= 0 means unlimited. Unlike count_columns this places no
 /// limit on the bound-set size.
 BoundedCount count_columns_bounded(const DecompSpec& spec, int max_columns);
+
+/// Support limit of the truth-table chart path: at 16 variables a table is
+/// 1024 words, so one candidate costs a few variable swaps and one pass of
+/// block hashing. Wider supports (for example 16 primary plus 2 pseudo
+/// primary inputs in a hyper-function) keep the BDD-cut path.
+inline constexpr int kTruthTableChartMaxVars = 16;
+
+/// A chart counter over f = (on, dc) held as two packed truth tables, one
+/// position per support variable. Counting a bound set swaps its variables
+/// to the top positions (word-level swaps, so at most one swap per variable
+/// that is not already there), which makes every chart column a contiguous
+/// block of both tables; the columns are the distinct (on, dc) block pairs.
+/// Bound variables outside f's support do not shape the columns and are
+/// ignored.
+///
+/// Identity contract, for every bound set and threshold:
+///  - count_columns(bound, t) equals count_columns_bounded(spec, t) — exact
+///    when not pruned, pruned iff the true count exceeds t > 0, and then
+///    count == t + 1;
+///  - column_signatures(bound) lists the columns in enumerate_columns'
+///    order (first occurrence with bound[0] as the most significant
+///    assignment bit), so the compatible classes derived from them
+///    (count_compatible_classes in compatible.hpp) are those of the BDD
+///    path.
+///
+/// Holds scratch buffers and no shared state: one chart per search engine.
+class TruthTableChart {
+ public:
+  /// Converts f to tables over the union of the supports of f.on and f.dc.
+  /// Returns false, leaving the chart unloaded, when that support exceeds
+  /// \p max_vars (the search engine always passes the default; benches pass
+  /// a larger limit to measure past it).
+  bool load(bdd::Manager& mgr, const IsfBdd& f,
+            int max_vars = kTruthTableChartMaxVars);
+  bool loaded() const { return loaded_; }
+
+  /// Column count of the chart with bound set \p bound, stopping once more
+  /// than \p max_columns distinct columns are found (<= 0: unlimited).
+  BoundedCount count_columns(const std::vector<int>& bound, int max_columns);
+
+  /// True iff f's don't-care set is empty.
+  bool dc_is_zero() const;
+
+  /// Row signatures of the chart's columns in enumerate_columns' order. The
+  /// rows are all assignments to the free support variables.
+  std::vector<ColumnSignature> column_signatures(const std::vector<int>& bound);
+
+ private:
+  /// Swaps the in-support variables of \p bound to the top positions (in
+  /// bound order from position n-1 down when \p exact, else in whatever
+  /// order needs the fewest swaps); returns how many there are.
+  int arrange(const std::vector<int>& bound, bool exact);
+  /// Distinct-block count with the top \p p positions bound; records the
+  /// first block of every column in reps_ when \p record.
+  BoundedCount count_blocks(int p, int max_columns, bool record);
+
+  bool loaded_ = false;
+  int num_vars_ = 0;
+  std::vector<std::uint64_t> on_;
+  std::vector<std::uint64_t> dc_;
+  std::vector<int> at_;        ///< variable at each table position
+  std::vector<int> top_vars_;  ///< scratch: in-support bound variables
+  std::vector<std::int32_t> slots_;  ///< scratch: open-addressed block set
+  std::vector<std::size_t> reps_;    ///< scratch: first block per column
+};
 
 /// Builds the BDD cube for an assignment to the given variables
 /// (bit i of \p minterm corresponds to vars[i]).

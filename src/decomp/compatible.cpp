@@ -159,4 +159,17 @@ int count_compatible_classes(const DecompSpec& spec, DcPolicy policy,
   return compute_compatible_classes(spec, policy, stats).num_classes();
 }
 
+int count_compatible_classes(TruthTableChart& chart,
+                             const std::vector<int>& bound, DcPolicy policy) {
+  if (policy == DcPolicy::kDistinctColumns || chart.dc_is_zero()) {
+    return chart.count_columns(bound, 0).count;
+  }
+  const std::vector<ColumnSignature> sigs = chart.column_signatures(bound);
+  const std::size_t n = sigs.size();
+  std::vector<std::vector<char>> adjacent(n, std::vector<char>(n, 0));
+  fill_adjacency_from_signatures(sigs, &adjacent);
+  return static_cast<int>(
+      graph::clique_partition(static_cast<int>(n), adjacent).size());
+}
+
 }  // namespace hyde::decomp

@@ -72,6 +72,14 @@ int count_compatible_classes(const DecompSpec& spec,
                              DcPolicy policy = DcPolicy::kCliquePartition,
                              ClassStats* stats = nullptr);
 
+/// count_compatible_classes of the chart with bound set \p bound, on a
+/// loaded TruthTableChart of the same f: the columns come from the tables in
+/// enumerate_columns' order and go through the same signature adjacency and
+/// clique partition, so the result is identical.
+int count_compatible_classes(TruthTableChart& chart,
+                             const std::vector<int>& bound,
+                             DcPolicy policy = DcPolicy::kCliquePartition);
+
 /// True iff two column patterns agree on their common care set.
 bool columns_compatible(bdd::Manager& mgr, const IsfBdd& a, const IsfBdd& b);
 

@@ -31,6 +31,21 @@ bool better_candidate(int cost, int var, int best_cost, int best_var) {
 
 }  // namespace
 
+DecompSpec BoundSetSearch::make_spec(const IsfBdd& f,
+                                     const std::vector<int>& support,
+                                     const std::vector<int>& bound) const {
+  DecompSpec spec;
+  spec.mgr = &mgr_;
+  spec.f = f;
+  spec.bound = bound;
+  for (int v : support) {
+    if (!std::binary_search(bound.begin(), bound.end(), v)) {
+      spec.free.push_back(v);
+    }
+  }
+  return spec;
+}
+
 /// Memoized column count for one (ISF, bound set). `lower_bound == false`
 /// means `count` is exact; otherwise the candidate was pruned when this was
 /// recorded and `count` is a proven lower bound on the true column count.
@@ -80,16 +95,6 @@ void BoundSetSearch::clear_memo() { memo_->table.clear(); }
 std::pair<int, int> BoundSetSearch::grow_step(
     const IsfBdd& f, const std::vector<int>& support,
     const std::vector<int>& bound, const std::vector<int>& pool) {
-  // Free set shared by every candidate this step: support minus the bound
-  // prefix, via a membership mask instead of a per-variable std::find scan.
-  std::vector<char> in_bound(static_cast<std::size_t>(mgr_.num_vars()), 0);
-  for (int v : bound) in_bound[static_cast<std::size_t>(v)] = 1;
-  std::vector<int> free_base;
-  free_base.reserve(support.size());
-  for (int v : support) {
-    if (!in_bound[static_cast<std::size_t>(v)]) free_base.push_back(v);
-  }
-
   struct Candidate {
     int var = -1;
     int cost = -1;       ///< exact column count once known
@@ -137,17 +142,16 @@ std::pair<int, int> BoundSetSearch::grow_step(
   }
   for (Candidate& c : candidates) {
     if (c.exact || c.pruned) continue;
-    DecompSpec spec;
-    spec.mgr = &mgr_;
-    spec.f = f;
-    spec.bound = c.sorted_bound;
-    spec.free.reserve(free_base.size());
-    for (int v : free_base) {
-      if (v != c.var) spec.free.push_back(v);
-    }
     ++stats_.candidates_evaluated;
-    const BoundedCount bc =
-        count_columns_bounded(spec, incumbent != INT_MAX ? incumbent : 0);
+    const int threshold = incumbent != INT_MAX ? incumbent : 0;
+    BoundedCount bc;
+    if (chart_.loaded()) {
+      ++stats_.candidates_tt;
+      bc = chart_.count_columns(c.sorted_bound, threshold);
+    } else {
+      bc = count_columns_bounded(make_spec(f, support, c.sorted_bound),
+                                 threshold);
+    }
     c.cost = bc.count;
     if (bc.pruned) {
       c.pruned = true;
@@ -228,6 +232,10 @@ VarPartitionResult BoundSetSearch::select(const IsfBdd& f,
     throw std::invalid_argument("select_bound_set: bound size too large");
   }
 
+  // One conversion serves every candidate of this select and its final
+  // class count; wider supports leave the chart unloaded (BDD-cut path).
+  chart_.load(mgr_, f);
+
   std::vector<int> preferred, avoided;
   for (int v : support) {
     if (std::find(options.avoid.begin(), options.avoid.end(), v) !=
@@ -252,18 +260,13 @@ VarPartitionResult BoundSetSearch::select(const IsfBdd& f,
   }
   std::sort(bound.begin(), bound.end());
 
-  DecompSpec spec;
-  spec.mgr = &mgr_;
-  spec.f = f;
-  spec.bound = bound;
-  std::vector<char> in_bound(static_cast<std::size_t>(mgr_.num_vars()), 0);
-  for (int v : bound) in_bound[static_cast<std::size_t>(v)] = 1;
-  for (int v : support) {
-    if (!in_bound[static_cast<std::size_t>(v)]) spec.free.push_back(v);
-  }
+  const DecompSpec spec = make_spec(f, support, bound);
   result.bound = spec.bound;
   result.free = spec.free;
-  result.num_classes = count_compatible_classes(spec, options.dc_policy);
+  result.num_classes =
+      chart_.loaded()
+          ? count_compatible_classes(chart_, spec.bound, options.dc_policy)
+          : count_compatible_classes(spec, options.dc_policy);
   result.success = true;
   if (options.require_nontrivial &&
       result.code_bits() >= static_cast<int>(result.bound.size())) {

@@ -19,6 +19,16 @@
 ///     count. A candidate whose partial count exceeds the incumbent best is
 ///     abandoned mid-enumeration (`count_columns_bounded`); the winner is
 ///     never pruned, so results are unchanged.
+///  3. **Truth-table charts** — when the ISF's support (the union of the
+///     supports of on and dc) has at most kTruthTableChartMaxVars variables,
+///     select() converts f to two packed truth tables once and counts every
+///     candidate, and the final compatible-class count, from them
+///     (TruthTableChart in chart.hpp) instead of building a BDD manager per
+///     candidate chart. The tables give exactly count_columns_bounded's
+///     counts and pruning verdicts and the BDD path's class count, so the
+///     search evaluates and prunes the identical candidates either way.
+///     Wider supports keep the BDD-cut path. SearchStats::candidates_tt
+///     counts the candidates the tables served.
 ///
 /// Determinism contract: for a fixed (f, support, options) the returned
 /// `VarPartitionResult` is bit-identical to the plain greedy search that
@@ -46,6 +56,7 @@ struct SearchStats {
   std::uint64_t candidates_pruned = 0;     ///< abandoned early (incl. by memo bound)
   std::uint64_t memo_hits = 0;             ///< exact counts served from the memo
   std::uint64_t memo_clears = 0;           ///< capacity resets
+  std::uint64_t candidates_tt = 0;  ///< evaluated on the truth-table path
   double seconds = 0.0;                    ///< wall-clock inside select()
 };
 
@@ -82,8 +93,15 @@ class BoundSetSearch {
                                 const std::vector<int>& bound,
                                 const std::vector<int>& pool);
 
+  /// The chart of (f, support, \p bound) with bound sorted: the BDD-path
+  /// spec; the free set is support minus bound.
+  DecompSpec make_spec(const IsfBdd& f, const std::vector<int>& support,
+                       const std::vector<int>& bound) const;
+
   bdd::Manager& mgr_;
   SearchStats stats_;
+  /// f of the current select() as truth tables, when its support fits.
+  TruthTableChart chart_;
   /// Reorder epoch of mgr_ the memo was built against. Memo entries pin
   /// their roots (ids stay unique) and column counts are order-invariant,
   /// but the epoch contract is observed anyway: a reorder flushes

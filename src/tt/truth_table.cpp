@@ -1,5 +1,6 @@
 #include "tt/truth_table.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -95,6 +96,17 @@ TruthTable TruthTable::from_lambda(int num_vars,
   for (std::uint64_t m = 0; m < t.size(); ++m) {
     if (fn(m)) t.set_bit(m, true);
   }
+  return t;
+}
+
+TruthTable TruthTable::from_words(int num_vars,
+                                  std::vector<std::uint64_t> words) {
+  TruthTable t(num_vars);
+  if (words.size() != t.words_.size()) {
+    throw std::invalid_argument("TruthTable::from_words: wrong word count");
+  }
+  t.words_ = std::move(words);
+  t.mask_tail();
   return t;
 }
 
@@ -298,6 +310,46 @@ void TruthTable::check_same_shape(const TruthTable& rhs) const {
 void TruthTable::mask_tail() {
   if (num_vars_ < 6) {
     words_[0] &= (std::uint64_t{1} << (std::uint64_t{1} << num_vars_)) - 1;
+  }
+}
+
+void swap_vars_in_place(std::uint64_t* words, int num_vars, int i, int j) {
+  if (i == j) return;
+  if (i > j) std::swap(i, j);
+  const std::size_t count = word_count(num_vars);
+  if (j < 6) {
+    // Bits with x_i = 1, x_j = 0 trade places with x_i = 0, x_j = 1, which
+    // sit 2^j - 2^i positions higher in the same word.
+    const int shift = (1 << j) - (1 << i);
+    const std::uint64_t low = kVarMask[i] & ~kVarMask[j];
+    for (std::size_t w = 0; w < count; ++w) {
+      const std::uint64_t d = ((words[w] >> shift) ^ words[w]) & low;
+      words[w] ^= d ^ (d << shift);
+    }
+  } else if (i < 6) {
+    // Word w (x_j = 0) pairs with word w + 2^(j-6) (x_j = 1): its x_i = 1
+    // bits trade places with the partner's x_i = 0 bits.
+    const std::size_t stride = std::size_t{1} << (j - 6);
+    const int shift = 1 << i;
+    for (std::size_t base = 0; base < count; base += 2 * stride) {
+      for (std::size_t w = base; w < base + stride; ++w) {
+        const std::uint64_t d =
+            ((words[w] >> shift) ^ words[w + stride]) & ~kVarMask[i];
+        words[w] ^= d << shift;
+        words[w + stride] ^= d;
+      }
+    }
+  } else {
+    // Whole blocks of 2^(i-6) words with x_i = 1, x_j = 0 trade places with
+    // the blocks 2^(j-6) - 2^(i-6) words higher.
+    const std::size_t lo = std::size_t{1} << (i - 6);
+    const std::size_t hi = std::size_t{1} << (j - 6);
+    for (std::size_t base = 0; base < count; base += 2 * hi) {
+      for (std::size_t block = base + lo; block < base + hi; block += 2 * lo) {
+        std::swap_ranges(words + block, words + block + lo,
+                         words + block + hi - lo);
+      }
+    }
   }
 }
 

@@ -49,6 +49,9 @@ class TruthTable {
   /// Builds a function from a per-minterm predicate.
   static TruthTable from_lambda(int num_vars,
                                 const std::function<bool(std::uint64_t)>& fn);
+  /// Adopts packed words in the layout of words(); bits past 2^num_vars are
+  /// cleared. Throws std::invalid_argument on a wrong word count.
+  static TruthTable from_words(int num_vars, std::vector<std::uint64_t> words);
 
   int num_vars() const { return num_vars_; }
   /// Number of minterms, 2^num_vars().
@@ -127,6 +130,13 @@ class TruthTable {
   int num_vars_ = 0;
   std::vector<std::uint64_t> words_;
 };
+
+/// Exchanges variables \p i and \p j of a packed table over \p num_vars
+/// variables in place (the layout of TruthTable::words()). Word-level: a
+/// delta swap inside every word when both variables are below 6, a masked
+/// exchange between word pairs when one is, and a swap of whole word blocks
+/// when neither is.
+void swap_vars_in_place(std::uint64_t* words, int num_vars, int i, int j);
 
 /// Incompletely specified function as an (onset, dcset) pair over the same
 /// variables. The offset is everything not in onset or dcset. A consistent

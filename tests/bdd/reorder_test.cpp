@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "tt/truth_table.hpp"
@@ -63,6 +64,44 @@ TEST(Reorder, CountUnderOrderMatchesTransfer) {
       8, [&rng](std::uint64_t) { return (rng() % 3) == 0; }));
   const auto support = mgr.support(f);
   EXPECT_EQ(node_count_under_order(mgr, f, support), mgr.node_count(f));
+}
+
+TEST(Reorder, ToTruthTableFollowsTheRequestedOrderAfterSifting) {
+  // to_truth_table builds in the manager's current order and swaps into the
+  // caller's: check every minterm against eval after a sift moved the order,
+  // for shuffled variable lists that include a variable outside the support.
+  std::mt19937_64 rng(19);
+  for (int n : {4, 10, 12}) {
+    Manager mgr(n + 1);
+    // The blocked AND-OR core makes sifting move variables; the sparse
+    // random term keeps the function irregular.
+    const Bdd f = blocked_and_or(mgr, n / 2) ^
+                  mgr.from_truth_table(TruthTable::from_lambda(
+                      n, [&rng](std::uint64_t) { return (rng() % 64) == 0; }));
+    mgr.reorder_sift();
+    if (n >= 10) {
+      std::vector<int> identity(mgr.current_order().size());
+      for (std::size_t l = 0; l < identity.size(); ++l) {
+        identity[l] = static_cast<int>(l);
+      }
+      ASSERT_NE(mgr.current_order(), identity) << "sift left the order alone";
+    }
+    std::vector<int> vars(static_cast<std::size_t>(n + 1));
+    for (int v = 0; v <= n; ++v) vars[static_cast<std::size_t>(v)] = v;
+    for (int trial = 0; trial < 4; ++trial) {
+      std::shuffle(vars.begin(), vars.end(), rng);
+      const TruthTable table = mgr.to_truth_table(f, vars);
+      for (std::uint64_t m = 0; m < table.size(); ++m) {
+        std::vector<bool> assignment(static_cast<std::size_t>(n + 1), false);
+        for (int i = 0; i <= n; ++i) {
+          assignment[static_cast<std::size_t>(vars[static_cast<std::size_t>(
+              i)])] = ((m >> i) & 1) != 0;
+        }
+        ASSERT_EQ(table.bit(m), mgr.eval(f, assignment))
+            << "n=" << n << " minterm " << m;
+      }
+    }
+  }
 }
 
 TEST(Reorder, SmallSupportsAreNoOps) {

@@ -1,16 +1,20 @@
 /// \file search_reorder_test.cpp
 /// \brief Reorder-epoch interaction with the retained decomposition state:
 /// the BoundSetSearch memo must be impossible to stale-hit across a reorder
-/// of the source manager, and the column counts the chart layer computes
-/// must be invariant under the variable order.
+/// of the source manager, the column counts the chart layer computes must be
+/// invariant under the variable order, and the truth-table chart built from
+/// a reordered manager must agree with the BDD-cut path.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <random>
 #include <vector>
 
 #include "decomp/chart.hpp"
+#include "decomp/compatible.hpp"
 #include "decomp/search.hpp"
 #include "oracles/chart_oracle.hpp"
 #include "tt/truth_table.hpp"
@@ -73,6 +77,71 @@ TEST(BoundSetSearchReorderTest, MemoReplayAcrossAForcedReorderEpoch) {
                        "repeat in new epoch");
     EXPECT_GT(engine.stats().memo_hits, hits_before);
   }
+}
+
+TEST(BoundSetSearchReorderTest, TruthTablePathMatchesTheCutPathAfterReorder) {
+  // On a sifted manager the truth-table chart is built in the new order and
+  // swapped into its own: its counts must still equal the BDD-cut path's for
+  // every bound pair and random larger sets, and a select must agree with
+  // the same select before the reorder and with the BDD class count.
+  std::mt19937_64 rng(74);
+  int moved = 0;  // trials whose sift changed the order
+  for (int trial = 0; trial < 6; ++trial) {
+    const int n = 12;
+    Manager mgr(n);
+    const Bdd on = random_bdd(mgr, n, rng);
+    const Bdd dc = mgr.from_truth_table(TruthTable::from_lambda(
+                       n, [&rng](std::uint64_t) { return rng() % 8 == 0; })) &
+                   ~on;
+    const IsfBdd f{on, dc};
+    const std::vector<int> support = mgr.support(on | dc);
+    VarPartitionOptions options;
+    options.bound_size = 4;
+    options.require_nontrivial = false;
+    BoundSetSearch before_engine(mgr);
+    const VarPartitionResult before = before_engine.select(f, support, options);
+
+    mgr.reorder_sift();
+    std::vector<int> identity(mgr.current_order().size());
+    std::iota(identity.begin(), identity.end(), 0);
+    if (mgr.current_order() != identity) ++moved;
+
+    TruthTableChart chart;
+    ASSERT_TRUE(chart.load(mgr, f));
+    DecompSpec spec;
+    spec.mgr = &mgr;
+    spec.f = f;
+    for (int a = 0; a < n; ++a) {
+      for (int b = a + 1; b < n; ++b) {
+        spec.bound = {a, b};
+        for (int t : {0, 2, 3}) {
+          const BoundedCount table = chart.count_columns(spec.bound, t);
+          const BoundedCount cut = count_columns_bounded(spec, t);
+          EXPECT_EQ(table.count, cut.count) << a << "," << b << " t=" << t;
+          EXPECT_EQ(table.pruned, cut.pruned) << a << "," << b << " t=" << t;
+        }
+      }
+    }
+    std::vector<int> vars = support;
+    for (int round = 0; round < 8; ++round) {
+      std::shuffle(vars.begin(), vars.end(), rng);
+      spec.bound.assign(vars.begin(), vars.begin() + 5);
+      EXPECT_EQ(chart.count_columns(spec.bound, 0).count,
+                count_columns_bounded(spec, 0).count);
+      EXPECT_EQ(count_compatible_classes(chart, spec.bound),
+                count_compatible_classes(spec));
+    }
+
+    BoundSetSearch engine(mgr);
+    const VarPartitionResult after = engine.select(f, support, options);
+    expect_same_result(after, before, "select on the sifted manager");
+    EXPECT_EQ(engine.stats().candidates_tt,
+              engine.stats().candidates_evaluated);
+    spec.bound = after.bound;
+    spec.free = after.free;
+    EXPECT_EQ(after.num_classes, count_compatible_classes(spec));
+  }
+  EXPECT_GT(moved, 0);
 }
 
 TEST(ChartReorderTest, ColumnCountsAreOrderInvariant) {

@@ -1,12 +1,17 @@
 /// \file search_test.cpp
 /// \brief Bound-set search engine correctness: bounded (pruned) column
-/// counting against the recursive reference, and bit-identical selection
-/// against a verbatim copy of the historical greedy loop — fresh, repeated,
-/// across shrinking bound sizes and past the memo's capacity.
+/// counting against the recursive reference, the truth-table chart against
+/// the BDD-cut path, and bit-identical selection against a verbatim copy of
+/// the historical greedy loop — fresh, repeated, across shrinking bound
+/// sizes, past the memo's capacity and on both sides of the truth-table
+/// support limit.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <cstdint>
+#include <numeric>
 #include <random>
 #include <vector>
 
@@ -27,6 +32,51 @@ Bdd random_bdd(Manager& mgr, int num_vars, std::mt19937_64& rng) {
   const TruthTable table = TruthTable::from_lambda(
       num_vars, [&rng](std::uint64_t) { return (rng() & 1) != 0; });
   return mgr.from_truth_table(table);
+}
+
+/// Random function of \p vars (table variable i is vars[i]); about one
+/// minterm in \p period is in the onset.
+Bdd random_on(Manager& mgr, const std::vector<int>& vars, int period,
+              std::mt19937_64& rng) {
+  const TruthTable table = TruthTable::from_lambda(
+      static_cast<int>(vars.size()), [&rng, period](std::uint64_t) {
+        return rng() % static_cast<std::uint64_t>(period) == 0;
+      });
+  return mgr.from_truth_table(table, vars);
+}
+
+/// Random ISF over variables 0..n-1; about one minterm in \p dc_period is a
+/// don't care (0: completely specified). A \p structured onset is the XOR
+/// of random functions, each depending on all of a 4-variable group, over
+/// groups that overlap in one variable; its dc set is a function of 5
+/// random variables. Such ISFs have small BDDs, and their chart columns
+/// often coincide, unlike a dense random table's.
+IsfBdd random_isf(Manager& mgr, int n, int dc_period, std::mt19937_64& rng,
+                  bool structured = false) {
+  std::vector<int> vars(static_cast<std::size_t>(n));
+  std::iota(vars.begin(), vars.end(), 0);
+  Bdd on = mgr.zero();
+  if (!structured) {
+    on = random_on(mgr, vars, 2, rng);
+  } else {
+    std::shuffle(vars.begin(), vars.end(), rng);
+    for (int start = 0; start == 0 || start + 1 < n; start += 3) {
+      const int first = std::max(0, std::min(start, n - 4));
+      const std::vector<int> group(vars.begin() + first,
+                                   vars.begin() + std::min(n, first + 4));
+      Bdd term = random_on(mgr, group, 2, rng);
+      while (mgr.support(term).size() < group.size()) {
+        term = random_on(mgr, group, 2, rng);
+      }
+      on = on ^ term;
+    }
+  }
+  if (dc_period == 0) return IsfBdd{on, mgr.zero()};
+  if (structured) {
+    std::shuffle(vars.begin(), vars.end(), rng);
+    vars.resize(static_cast<std::size_t>(std::min(n, 5)));
+  }
+  return IsfBdd{on, random_on(mgr, vars, dc_period, rng) & ~on};
 }
 
 /// Verbatim re-implementation of the historical select_bound_set greedy loop
@@ -158,6 +208,109 @@ TEST(BoundedCountTest, PrunedCountIsALowerBoundPastTheThreshold) {
     }
   }
   EXPECT_GT(pruned_seen, 0);  // the loop actually exercised pruning
+}
+
+TEST(BoundSetSearchTruthTableTest, CountsMatchTheCutPathAndTheOracle) {
+  // Random ISFs of 1..16 variables at dc densities none / sparse / dense;
+  // bound sets of 1..min(n, 6) variables drawn from a manager with two
+  // variables outside the support; every threshold 0..2^|bound|+1. The
+  // table count must honour the contract against the recursive oracle's
+  // exact count and equal count_columns_bounded's; the table-derived class
+  // count must equal count_compatible_classes under both policies.
+  std::mt19937_64 rng(81);
+  for (int n = 1; n <= kTruthTableChartMaxVars; ++n) {
+    for (const int dc_period : {0, 16, 2}) {
+      Manager mgr(n + 2);
+      // Dense random tables up to 10 variables, and completely specified
+      // ones at every width; structured ISFs carry the wide don't cares.
+      const bool structured = n > 10 && dc_period != 0;
+      const IsfBdd f = random_isf(mgr, n, dc_period, rng, structured);
+      TruthTableChart chart;
+      ASSERT_TRUE(chart.load(mgr, f));
+      std::vector<int> vars(static_cast<std::size_t>(n + 2));
+      std::iota(vars.begin(), vars.end(), 0);
+      for (int size = 1; size <= std::min(n, 6); ++size) {
+        std::shuffle(vars.begin(), vars.end(), rng);
+        DecompSpec spec;
+        spec.mgr = &mgr;
+        spec.f = f;
+        spec.bound.assign(vars.begin(), vars.begin() + size);
+        spec.free.assign(vars.begin() + size, vars.end());
+        const int exact = count_columns_recursive(spec);
+        const int last = (1 << size) + 1;
+        for (int t = 0; t <= last; ++t) {
+          const BoundedCount table = chart.count_columns(spec.bound, t);
+          const bool over = t > 0 && exact > t;
+          EXPECT_EQ(table.pruned, over)
+              << "n=" << n << " size=" << size << " t=" << t;
+          EXPECT_EQ(table.count, over ? t + 1 : exact)
+              << "n=" << n << " size=" << size << " t=" << t;
+          // A cut-path count re-transfers the whole BDD (milliseconds at 16
+          // random variables), so wide random tables compare it only where
+          // the verdict can change: the ends and around the exact count.
+          if (!structured && n > 12 && t > 1 && std::abs(t - exact) > 1 &&
+              t != last) {
+            continue;
+          }
+          const BoundedCount cut = count_columns_bounded(spec, t);
+          EXPECT_EQ(table.count, cut.count)
+              << "n=" << n << " size=" << size << " t=" << t;
+          EXPECT_EQ(table.pruned, cut.pruned)
+              << "n=" << n << " size=" << size << " t=" << t;
+        }
+        for (const DcPolicy policy :
+             {DcPolicy::kDistinctColumns, DcPolicy::kCliquePartition}) {
+          EXPECT_EQ(count_compatible_classes(chart, spec.bound, policy),
+                    count_compatible_classes(spec, policy))
+              << "n=" << n << " size=" << size << " dc 1/" << dc_period;
+        }
+      }
+    }
+  }
+}
+
+TEST(BoundSetSearchTruthTableTest, WiderSupportsStayOnTheCutPath) {
+  std::mt19937_64 rng(83);
+  const int n = kTruthTableChartMaxVars + 1;
+  Manager mgr(n);
+  const IsfBdd f = random_isf(mgr, n, 0, rng);
+  ASSERT_EQ(static_cast<int>(mgr.support(f.on).size()), n);
+  TruthTableChart chart;
+  EXPECT_FALSE(chart.load(mgr, f));
+  EXPECT_FALSE(chart.loaded());
+}
+
+TEST(BoundSetSearchTest, EngineMatchesTheLegacyGreedyAcrossTheTableLimit) {
+  // 10, 14 and 16 support variables take the truth-table path, 17 the
+  // BDD-cut path; both must reproduce the legacy greedy, also when the
+  // candidate pool is narrower than the ISF support (the flow's hard-mu
+  // mode keeps pseudo primary inputs out of the pool).
+  std::mt19937_64 rng(82);
+  for (const int n : {10, 14, 16, 17}) {
+    Manager mgr(n);
+    const IsfBdd f = random_isf(mgr, n, 16, rng, /*structured=*/true);
+    const std::vector<int> support = mgr.support(f.on | f.dc);
+    ASSERT_EQ(static_cast<int>(support.size()), n);
+    std::vector<int> pool;
+    for (int v : support) {
+      if (v % 3 != 0) pool.push_back(v);
+    }
+    VarPartitionOptions options;
+    options.bound_size = 4;
+    options.require_nontrivial = false;
+
+    BoundSetSearch engine(mgr);
+    expect_same_result(engine.select(f, support, options),
+                       legacy_select(mgr, f, support, options), "full pool");
+    expect_same_result(engine.select(f, pool, options),
+                       legacy_select(mgr, f, pool, options), "narrow pool");
+    EXPECT_GT(engine.stats().candidates_evaluated, 0u);
+    EXPECT_EQ(engine.stats().candidates_tt,
+              n <= kTruthTableChartMaxVars
+                  ? engine.stats().candidates_evaluated
+                  : 0u)
+        << "n=" << n;
+  }
 }
 
 TEST(BoundSetSearchTest, EngineMatchesTheLegacyGreedy) {

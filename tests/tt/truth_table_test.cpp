@@ -128,6 +128,34 @@ TEST(TruthTable, PermuteSwap) {
   EXPECT_EQ(g.permute({2, 1, 0}), f);
 }
 
+TEST(TruthTable, SwapVarsInPlaceMatchesPermute) {
+  // Every pair of positions, covering the in-word, cross-word and
+  // word-block cases, against the per-minterm permute reference.
+  std::mt19937_64 rng(17);
+  for (int n = 1; n <= 9; ++n) {
+    const TruthTable f = TruthTable::from_lambda(
+        n, [&rng](std::uint64_t) { return (rng() & 1) != 0; });
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < n; ++j) {
+        std::vector<int> perm(static_cast<std::size_t>(n));
+        for (int v = 0; v < n; ++v) perm[static_cast<std::size_t>(v)] = v;
+        std::swap(perm[static_cast<std::size_t>(i)],
+                  perm[static_cast<std::size_t>(j)]);
+        std::vector<std::uint64_t> words = f.words();
+        swap_vars_in_place(words.data(), n, i, j);
+        EXPECT_EQ(TruthTable::from_words(n, words), f.permute(perm))
+            << "n=" << n << " swap " << i << "," << j;
+      }
+    }
+  }
+}
+
+TEST(TruthTable, FromWordsMasksTheTailAndChecksTheSize) {
+  const TruthTable t = TruthTable::from_words(2, {0xFFull});
+  EXPECT_EQ(t, TruthTable::ones(2));
+  EXPECT_THROW(TruthTable::from_words(8, {0, 0, 0}), std::invalid_argument);
+}
+
 TEST(TruthTable, ProjectAndExpandRoundTrip) {
   const TruthTable f5 = TruthTable::var(5, 1) ^ (TruthTable::var(5, 3) &
                                                  TruthTable::var(5, 4));
