@@ -29,8 +29,6 @@
 #include "net/pla.hpp"
 #include "part/windowed.hpp"
 #include "runtime/batch.hpp"
-#include "runtime/npn_cache.hpp"
-#include "store/persistent_cache.hpp"
 
 using namespace hyde;
 
@@ -73,7 +71,6 @@ struct Config {
   bool deterministic_json = false;
   bool use_cache = true;
   int workers = runtime::default_worker_count();
-  store::StoreOptions store;  ///< empty dir: no persistent store
   part::WindowOptions window;
   int window_threads = 1;
   /// Flow-level flags in command-line order. They are applied on top of the
@@ -320,9 +317,6 @@ const Flag kFlags[] = {
      knob_range<&core::FlowOptions::max_collapse_support, 1, 64>},
     {"--passes", "n", kFlowRuns, "flow re-applications (default 1)",
      knob_range<&core::FlowOptions::passes, 1, 16>},
-    {"--cache-max-support", "n", kAllRuns,
-     "NPN-cache support ceiling (default 7)",
-     knob_range<&core::FlowOptions::cache_max_support, 0, 32>},
     {"--node-limit", "n", kFlowRuns, "live-BDD-node hard cap (0 = unlimited)",
      [](Config& c, const char* flag, const std::string& arg) {
        std::size_t value = 0;
@@ -389,24 +383,9 @@ const Flag kFlags[] = {
      set_to<&Config::deterministic_json, true>},
     {"--no-cache", "", kBatch, "disable the shared NPN decomposition cache",
      set_to<&Config::use_cache, false>},
-    {"--cache-dir", "dir", kAllRuns, "attach the on-disk store (docs/CACHE.md)",
-     [](Config& c, const char*, const std::string& arg) {
-       c.store.dir = arg;
-       if (!arg.empty()) return true;
-       std::fprintf(stderr, "error: --cache-dir expects a directory path\n");
-       return false;
-     }},
-    {"--cache-readonly", "", kAllRuns,
-     "consult the store but never write or evict",
-     [](Config& c, const char*, const std::string&) {
-       c.store.readonly = true;
-       return true;
-     }},
-    {"--cache-max-bytes", "n", kAllRuns, "store byte budget (0 = unlimited)",
-     [](Config& c, const char* flag, const std::string& arg) {
-       return set_int(flag, arg, 0, LONG_MAX, &c.store.max_bytes,
-                      "a non-negative integer (0 = unlimited)");
-     }},
+    {"--cache-max-support", "n", kBatch,
+     "NPN-cache support ceiling (default 7)",
+     knob_range<&core::FlowOptions::cache_max_support, 0, 32>},
 };
 
 const char* const kCircuitArg = "<circuit.blif|circuit.pla|@benchmark>";
@@ -570,55 +549,6 @@ void print_profile(const core::FlowStats& stats, const char* indent) {
       stats.pack_seconds, stats.verify_seconds);
 }
 
-/// One-line summary of the persistent store's traffic. Printed with a stable
-/// shape in every mode that attaches --cache-dir: the cross-process reuse
-/// test and the CI cold→warm job grep this line for the disk-hit count.
-void print_store_summary(const store::StoreCounters& sc, bool readonly) {
-  std::printf("store: %llu disk hits, %llu disk misses, %llu records "
-              "(%llu appended), %llu bytes read, %llu bytes written, "
-              "codec ratio %.3f, %llu evictions, %llu corrupt, "
-              "%llu job replays (%llu committed)%s\n",
-              static_cast<unsigned long long>(sc.disk_hits),
-              static_cast<unsigned long long>(sc.disk_misses),
-              static_cast<unsigned long long>(sc.records),
-              static_cast<unsigned long long>(sc.appends),
-              static_cast<unsigned long long>(sc.bytes_read),
-              static_cast<unsigned long long>(sc.bytes_written),
-              sc.codec_ratio(), static_cast<unsigned long long>(sc.evictions),
-              static_cast<unsigned long long>(sc.corrupt_records),
-              static_cast<unsigned long long>(sc.job_hits),
-              static_cast<unsigned long long>(sc.job_appends),
-              readonly ? " (readonly)" : "");
-}
-
-/// The persistent cache of single-circuit and --in runs: the in-memory NPN
-/// cache with the on-disk store behind it. Attaching a cache is
-/// result-affecting versus the historical uncached run (sub-flow seeds
-/// derive from cache keys), so nothing is attached without --cache-dir.
-/// The FlowOptions fingerprint inside each key keeps the -s systems apart.
-class RunStore {
- public:
-  explicit RunStore(const store::StoreOptions& options) {
-    if (options.dir.empty()) return;
-    disk_.emplace(options);
-    tiered_.emplace(&memory_, &*disk_);
-  }
-
-  core::DecompCache* cache() { return tiered_ ? &*tiered_ : nullptr; }
-
-  /// Flushes the store and prints its summary line.
-  void finish(bool readonly) {
-    if (!disk_) return;
-    disk_->flush();
-    print_store_summary(disk_->counters(), readonly);
-  }
-
- private:
-  runtime::NpnResultCache memory_;
-  std::optional<store::PersistentStore> disk_;
-  std::optional<store::TieredCache> tiered_;
-};
-
 int run_batch_mode(const Config& c) {
   std::vector<baseline::System> systems;
   for (const auto& entry : c.systems()) systems.push_back(entry.second);
@@ -633,9 +563,6 @@ int run_batch_mode(const Config& c) {
   options.cache_max_support = knobs.cache_max_support;
   options.reorder = knobs.reorder;
   options.reorder_max_growth = knobs.reorder_max_growth;
-  options.cache_dir = c.store.dir;
-  options.cache_readonly = c.store.readonly;
-  options.cache_max_bytes = c.store.max_bytes;
 
   std::printf("batch: %zu jobs (%zu circuits x %zu systems), k=%d, "
               "%d workers, cache %s\n",
@@ -682,9 +609,6 @@ int run_batch_mode(const Config& c) {
               static_cast<unsigned long long>(report.cache.hits),
               static_cast<unsigned long long>(report.cache.misses),
               100.0 * report.cache.hit_rate());
-  if (report.store.enabled) {
-    print_store_summary(report.store, report.store.readonly);
-  }
 
   const bool written =
       write_output(c.json_path,
@@ -705,10 +629,8 @@ int run_windowed_mode(const Config& c) {
       load_circuit(c.in_file, c.read_latches);
   if (!circuit) return 1;
 
-  RunStore run_store(c.store);
   part::WindowedFlowOptions options;
   options.flow = c.with_knobs(baseline::system_flow_options(system, c.k));
-  options.flow.cache = run_store.cache();
   options.window = c.window;
   options.threads = c.window_threads;
   const baseline::BaselineResult result =
@@ -735,7 +657,6 @@ int run_windowed_mode(const Config& c) {
     std::printf("slowest window: #%d at %.3fs\n", stats.window_max_index,
                 stats.window_max_seconds);
   }
-  run_store.finish(c.store.readonly);
   if (c.profile) {
     print_profile(stats, "  ");
     std::printf("  extract %.3fs | stitch %.3fs\n",
@@ -753,11 +674,9 @@ int run_single_mode(const Config& c) {
 
   net::Network best_network("none");
   int best_luts = -1;
-  RunStore run_store(c.store);
   for (const auto& [name, system] : c.systems()) {
     core::FlowOptions flow_options =
         c.with_knobs(baseline::system_flow_options(system, c.k));
-    flow_options.cache = run_store.cache();
     // For DC-aware runs use the core flow directly (baseline::run_system
     // does not thread external don't cares).
     if (circuit->has_dont_cares && system == baseline::System::kHyde) {
@@ -784,7 +703,6 @@ int run_single_mode(const Config& c) {
       best_network = std::move(result.network);
     }
   }
-  run_store.finish(c.store.readonly);
   return write_network(c, best_network) ? 0 : 1;
 }
 
@@ -839,18 +757,6 @@ int main(int argc, char** argv) {
                  "error: the circuit argument '%s' does not apply to %s "
                  "runs\n",
                  c.source.c_str(), mode_name(c.mode));
-    return 2;
-  }
-  if (c.store.dir.empty() && (c.store.readonly || c.store.max_bytes != 0)) {
-    std::fprintf(stderr,
-                 "error: --cache-readonly and --cache-max-bytes only apply "
-                 "to a persistent store; add --cache-dir\n");
-    return 2;
-  }
-  if (!c.store.dir.empty() && !c.use_cache) {
-    std::fprintf(stderr,
-                 "error: --cache-dir layers the store behind the NPN cache; "
-                 "drop --no-cache\n");
     return 2;
   }
 

@@ -76,20 +76,16 @@ struct NpnCacheKey {
   }
 };
 
-/// Which tier of a (possibly multi-level) cache served a lookup. Flows use
-/// this to split their cache-hit stats into memory hits and disk hits
-/// without knowing the cache topology.
+/// Whether a lookup hit. Kept, with lookup_tiered and has_persistent_tier
+/// below, only because perfbench/src/timing_cache.hpp overrides them.
 enum class LookupTier {
   kMiss = 0,
   kMemory = 1,
-  kDisk = 2,
 };
 
 /// Abstract memo table. The concrete sharded implementation lives in
 /// src/runtime/npn_cache; core only needs the interface so FlowOptions can
 /// carry an optional cache pointer without depending on the runtime layer.
-/// The persistent second level (src/store/persistent_cache) layers behind it
-/// through the same interface via `lookup_tiered`/`has_persistent_tier`.
 class DecompCache {
  public:
   virtual ~DecompCache() = default;
@@ -98,8 +94,8 @@ class DecompCache {
   virtual std::shared_ptr<const CachedDecomposition> lookup(
       const NpnCacheKey& key) = 0;
 
-  /// Like lookup, but additionally reports which tier served the entry
-  /// (when \p tier is non-null). Single-level caches report kMemory on hit.
+  /// Like lookup, but additionally reports whether it hit (when \p tier is
+  /// non-null): kMemory on a hit, kMiss otherwise.
   virtual std::shared_ptr<const CachedDecomposition> lookup_tiered(
       const NpnCacheKey& key, LookupTier* tier) {
     auto entry = lookup(key);
@@ -109,8 +105,7 @@ class DecompCache {
     return entry;
   }
 
-  /// True when misses fall through to an on-disk tier; flows then count
-  /// their misses as disk misses in the store stats.
+  /// Always false here; see LookupTier.
   virtual bool has_persistent_tier() const { return false; }
 
   /// Publishes \p value under \p key and returns the entry now stored there.

@@ -249,11 +249,8 @@ class Decomposer {
     const tt::NpnCanonization canon = tt::npn_canonize(table);
     const NpnCacheKey key{canon.canonical.on, canon.canonical.dc,
                           cache_fingerprint(options_)};
-    LookupTier tier = LookupTier::kMiss;
-    auto entry = options_.cache->lookup_tiered(key, &tier);
-    if (tier == LookupTier::kDisk) ++stats_.store_disk_hits;
+    auto entry = options_.cache->lookup(key);
     if (entry == nullptr) {
-      if (options_.cache->has_persistent_tier()) ++stats_.store_disk_misses;
       CachedDecomposition fresh = compute_template(key);
       if (fresh.root < fresh.num_inputs) return net::kNoNode;
       entry = options_.cache->insert(key, std::move(fresh));

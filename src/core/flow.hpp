@@ -115,11 +115,6 @@ struct FlowStats {
   /// the cache itself, which is shared state).
   int cache_lookups = 0;
 
-  // Persistent-store tier (src/store/persistent_cache.hpp), populated only
-  // when FlowOptions::cache has one.
-  std::uint64_t store_disk_hits = 0;    ///< lookups served by the disk tier
-  std::uint64_t store_disk_misses = 0;  ///< lookups that missed every tier
-
   // BDD kernel, summed over every manager the flow created (the global
   // manager plus one per NPN-cache template miss).
   std::uint64_t bdd_cache_hits = 0;
@@ -198,7 +193,7 @@ struct FlowStats {
     varpart_seconds += s.seconds;
   }
 
-  /// Folds another flow's search, classes, store and profile groups into
+  /// Folds another flow's search, classes and profile groups into
   /// this one (NPN-template sub-flows); merge() folds every group.
   void absorb_search_and_phases(const FlowStats& s);
 };
@@ -210,7 +205,6 @@ enum class FlowGroup : unsigned {
   kSearch,
   kClasses,
   kWindows,
-  kStore,
   kProfile,
 };
 
@@ -220,10 +214,9 @@ enum class MergeRule { kSum, kMax, kKeep };
 
 /// One FlowStats field. \p deterministic marks a pure function of (input,
 /// system, seed, options): only those fields appear in the deterministic
-/// report and in the whole-job replay blob, so they must be identical at
-/// every worker count and on a replayed job. Every other field is volatile:
-/// it moves with cache hit patterns, schedule or wall clock, or is simply
-/// not replayed (a replayed job reports zero there).
+/// report, so they must be identical at every worker count. Every other
+/// field is volatile: it moves with cache hit patterns, schedule or wall
+/// clock.
 template <typename T>
 struct FlowField {
   T FlowStats::*member;
@@ -289,8 +282,6 @@ inline constexpr auto kFlowFields = [] {
                 "worker_busy_peak_seconds", kWindows, kMax},
       FlowField{&S::window_max_seconds, "max_window_seconds", kWindows, kMax},
       FlowField{&S::window_max_index, "max_window_index", kWindows, kKeep},
-      FlowField{&S::store_disk_hits, "disk_hits", kStore, kSum},
-      FlowField{&S::store_disk_misses, "disk_misses", kStore, kSum},
       FlowField{&S::varpart_seconds, "varpart_seconds", kProfile, kSum},
       FlowField{&S::classes_seconds, "classes_seconds", kProfile, kSum},
       FlowField{&S::encoding_seconds, "encoding_seconds", kProfile, kSum},
@@ -330,7 +321,7 @@ inline void merge(FlowStats& into, const FlowStats& from,
 inline void FlowStats::absorb_search_and_phases(const FlowStats& s) {
   merge(*this, s,
         group_bit(FlowGroup::kSearch) | group_bit(FlowGroup::kClasses) |
-            group_bit(FlowGroup::kStore) | group_bit(FlowGroup::kProfile));
+            group_bit(FlowGroup::kProfile));
 }
 
 struct FlowResult {

@@ -1,103 +1,14 @@
 #include "runtime/batch.hpp"
 
 #include <chrono>
-#include <cstring>
 #include <exception>
 #include <thread>
-#include <type_traits>
-
-#include <memory>
 
 #include "mcnc/benchmarks.hpp"
-#include "net/blif.hpp"
 #include "runtime/npn_cache.hpp"
 #include "runtime/scheduler.hpp"
-#include "store/persistent_cache.hpp"
 
 namespace hyde::runtime {
-
-namespace {
-
-/// Digest of everything a job's deterministic outcome depends on: the input
-/// circuit's full BLIF text plus every result-affecting batch knob. Knobs
-/// with a result-identity contract (the worker count) are
-/// excluded — replaying across them is the point. Goes into the blob key,
-/// so a mismatch is a clean miss.
-std::uint64_t job_fingerprint(const BatchJob& job, const BatchOptions& options,
-                              const std::string& blif_text) {
-  std::uint64_t h = store::fnv1a_bytes(
-      reinterpret_cast<const std::uint8_t*>(blif_text.data()),
-      blif_text.size());
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-  };
-  mix(static_cast<std::uint64_t>(job.system));
-  mix(static_cast<std::uint64_t>(job.k));
-  mix(job.seed);
-  mix(static_cast<std::uint64_t>(options.verify_vectors));
-  mix(static_cast<std::uint64_t>(options.cache_max_support));
-  mix(static_cast<std::uint64_t>(options.reorder));
-  std::uint64_t growth_bits = 0;
-  static_assert(sizeof(growth_bits) == sizeof(options.reorder_max_growth));
-  std::memcpy(&growth_bits, &options.reorder_max_growth, sizeof(growth_bits));
-  mix(growth_bits);
-  return h;
-}
-
-/// Human-greppable blob name for a job (the fingerprint rides in the key
-/// separately): circuit and system names NUL-separated to keep distinct
-/// (circuit, system) pairs from concatenating ambiguously.
-std::vector<std::uint8_t> job_blob_name(const BatchJob& job) {
-  const std::string text =
-      job.circuit + '\0' + std::string(baseline::system_name(job.system));
-  return {text.begin(), text.end()};
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> serialize_job_outcome(const JobReport& job) {
-  std::vector<std::uint8_t> out;
-  out.reserve(kJobBlobFields * 8);
-  const auto put = [&out](auto value) {
-    const auto v = static_cast<std::uint64_t>(value);
-    for (int i = 0; i < 8; ++i) {
-      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  };
-  put(job.luts);
-  put(job.clbs);
-  put(job.depth);
-  put(job.verified);
-  core::for_each_flow_field([&put, &job](const auto& field) {
-    if (field.deterministic) put(job.stats.*field.member);
-  });
-  return out;
-}
-
-bool deserialize_job_outcome(const std::vector<std::uint8_t>& raw,
-                             JobReport* job) {
-  if (raw.size() != kJobBlobFields * 8) return false;
-  std::size_t at = 0;
-  const auto next = [&raw, &at] {
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < 8; ++i) {
-      v |= std::uint64_t{raw[at + i]} << (8 * i);
-    }
-    at += 8;
-    return v;
-  };
-  job->luts = static_cast<int>(next());
-  job->clbs = static_cast<int>(next());
-  job->depth = static_cast<int>(next());
-  job->verified = next() != 0;
-  core::for_each_flow_field([job, &next](const auto& field) {
-    if (field.deterministic) {
-      auto& value = job->stats.*field.member;
-      value = static_cast<std::remove_reference_t<decltype(value)>>(next());
-    }
-  });
-  return true;
-}
 
 int default_worker_count() {
   const unsigned hw = std::thread::hardware_concurrency();
@@ -128,23 +39,11 @@ RunReport run_batch(const std::vector<BatchJob>& jobs,
 
   NpnResultCache cache;
   core::DecompCache* shared_cache = options.use_cache ? &cache : nullptr;
-  // Optional persistent second level: the tiered view layers the on-disk
-  // store behind the in-memory cache through the same DecompCache interface,
-  // so jobs are oblivious to where an entry came from.
-  std::unique_ptr<store::PersistentStore> disk_store;
-  std::unique_ptr<store::TieredCache> tiered;
-  if (options.use_cache && !options.cache_dir.empty()) {
-    disk_store = std::make_unique<store::PersistentStore>(store::StoreOptions{
-        options.cache_dir, options.cache_readonly, options.cache_max_bytes});
-    tiered = std::make_unique<store::TieredCache>(&cache, disk_store.get());
-    shared_cache = tiered.get();
-  }
   const auto start = std::chrono::steady_clock::now();
   {
     JobScheduler pool(report.workers);
-    store::PersistentStore* job_store = disk_store.get();
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      pool.submit([&jobs, &report, &options, shared_cache, job_store, i] {
+      pool.submit([&jobs, &report, &options, shared_cache, i] {
         const BatchJob& job = jobs[i];
         JobReport& out = report.jobs[i];
         out.circuit = job.circuit;
@@ -152,27 +51,7 @@ RunReport run_batch(const std::vector<BatchJob>& jobs,
         out.k = job.k;
         out.seed = job.seed;
         try {
-          const auto job_start = std::chrono::steady_clock::now();
           const net::Network input = mcnc::make_circuit(job.circuit);
-          std::uint64_t fingerprint = 0;
-          std::vector<std::uint8_t> name;
-          if (job_store != nullptr) {
-            // Whole-job replay tier: a finished outcome committed by an
-            // earlier process under the same content + options fingerprint
-            // is served straight from disk, skipping synthesis entirely.
-            fingerprint =
-                job_fingerprint(job, options, net::write_blif_string(input));
-            name = job_blob_name(job);
-            if (const auto raw = job_store->lookup_blob(
-                    store::ArtifactKind::kBatchJobOutcome, name, fingerprint)) {
-              if (deserialize_job_outcome(*raw, &out)) {
-                out.seconds = std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - job_start)
-                                  .count();
-                return;
-              }
-            }
-          }
           core::FlowOptions flow_options =
               baseline::system_flow_options(job.system, job.k);
           flow_options.seed = job.seed;
@@ -188,12 +67,6 @@ RunReport run_batch(const std::vector<BatchJob>& jobs,
           out.verified = result.verified;
           out.seconds = result.seconds;
           out.stats = result.stats;
-          // Only clean, verified outcomes are worth replaying; failures are
-          // recomputed every run so they keep surfacing.
-          if (job_store != nullptr && out.verified) {
-            job_store->put_blob(store::ArtifactKind::kBatchJobOutcome, name,
-                                fingerprint, serialize_job_outcome(out));
-          }
         } catch (const std::exception& e) {
           out.error = e.what();
         } catch (...) {
@@ -212,14 +85,6 @@ RunReport run_batch(const std::vector<BatchJob>& jobs,
   }
   report.cache.unique_functions = cache.size();
   static_cast<NpnCacheCounters&>(report.cache) = cache.counters();
-  if (disk_store != nullptr) {
-    // Commit before snapshotting so `records` reflects what later runs will
-    // actually find on disk.
-    disk_store->flush();
-    static_cast<store::StoreCounters&>(report.store) = disk_store->counters();
-    report.store.enabled = true;
-    report.store.readonly = options.cache_readonly;
-  }
   return report;
 }
 

@@ -15,7 +15,6 @@
 
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -39,41 +38,12 @@ struct BatchOptions {
   int verify_vectors = 128; ///< random-vector equivalence check per job (0 = off)
   bool use_cache = true;    ///< share an NpnResultCache across all jobs
   int cache_max_support = 7;
-  /// Persistent second-level cache directory (src/store). Empty keeps the
-  /// cache in-memory only. When set (and use_cache is on), jobs look up
-  /// memory → disk and the store is flushed once at the end of the batch.
-  /// The store also acts as a whole-job replay tier: a job whose outcome was
-  /// committed by an earlier run under the same (circuit content, system, k,
-  /// seed, result-affecting knobs) fingerprint is replayed from disk without
-  /// re-synthesizing — the deterministic report subset is bit-identical
-  /// either way (docs/CACHE.md).
-  std::string cache_dir;
-  /// Consult the on-disk store but never write or evict (e.g. CI readers
-  /// sharing a golden cache).
-  bool cache_readonly = false;
-  /// On-disk byte budget applied at flush via LRU-by-generation eviction;
-  /// 0 = unlimited.
-  std::uint64_t cache_max_bytes = 0;
   /// Dynamic variable reordering inside each job's flow manager
   /// (docs/REORDER.md). Result-affecting — part of the NPN-cache
   /// fingerprint — but still bit-identical across worker counts.
   bdd::ReorderMode reorder = bdd::ReorderMode::kOff;
   double reorder_max_growth = 2.0;
 };
-
-/// Whole-job replay blob: the deterministic JobReport subset as fixed-width
-/// little-endian u64 fields — luts, clbs, depth, verified, then the
-/// FlowStats fields core::kFlowFields marks deterministic, in table order.
-/// Volatile fields are absent: a replayed job reports zeros there, and the
-/// deterministic JSON subset is bit-identical to the cold run by
-/// construction.
-inline constexpr std::size_t kJobBlobFields = 11;
-
-std::vector<std::uint8_t> serialize_job_outcome(const JobReport& job);
-
-/// Strict decode into \p job: any size mismatch rejects the blob (false).
-bool deserialize_job_outcome(const std::vector<std::uint8_t>& raw,
-                             JobReport* job);
 
 /// Number of workers to use when the caller has no preference: the hardware
 /// concurrency, or 1 when it cannot be determined.

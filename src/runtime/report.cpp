@@ -73,11 +73,11 @@ std::string format_value(T value, bool json) {
 
 /// Object name of each core::FlowGroup, indexed by its value: per job, and
 /// for the run-level totals. The run level has no `stats` block (those are
-/// per-job results) and takes its `store` block from the store itself.
+/// per-job results).
 constexpr const char* kJobGroupNames[] = {
-    "stats", "bdd", "search", "classes", "windows", "store", "profile"};
+    "stats", "bdd", "search", "classes", "windows", "profile"};
 constexpr const char* kRunGroupNames[] = {
-    nullptr, "bdd_kernel", "search", "classes", "windows", nullptr, "profile"};
+    nullptr, "bdd_kernel", "search", "classes", "windows", "profile"};
 static_assert(std::size(kJobGroupNames) ==
               static_cast<std::size_t>(core::FlowGroup::kProfile) + 1);
 static_assert(std::size(kRunGroupNames) == std::size(kJobGroupNames));
@@ -125,41 +125,14 @@ std::string to_json(const RunReport& report, bool include_volatile) {
       out += std::string("  \"") + kRunGroupNames[g] + "\": {" + fields +
              "},\n";
     }
-    out += "  \"store\": {";
-    out += std::string("\"enabled\": ") +
-           (report.store.enabled ? "true" : "false");
-    out += std::string(", \"readonly\": ") +
-           (report.store.readonly ? "true" : "false");
-    out += ", \"disk_hits\": " + std::to_string(report.store.disk_hits);
-    out += ", \"disk_misses\": " + std::to_string(report.store.disk_misses);
-    out += ", \"bytes_read\": " + std::to_string(report.store.bytes_read);
-    out += ", \"bytes_written\": " + std::to_string(report.store.bytes_written);
-    out += ", \"raw_bytes\": " + std::to_string(report.store.raw_bytes);
-    out += ", \"coded_bytes\": " + std::to_string(report.store.coded_bytes);
-    out += ", \"codec_ratio\": " + format_double(report.store.codec_ratio());
-    out += ", \"evictions\": " + std::to_string(report.store.evictions);
-    out += ", \"corrupt_records\": " +
-           std::to_string(report.store.corrupt_records);
-    out += ", \"appends\": " + std::to_string(report.store.appends);
-    out += ", \"records\": " + std::to_string(report.store.records);
-    out += ", \"job_hits\": " + std::to_string(report.store.job_hits);
-    out += ", \"job_appends\": " + std::to_string(report.store.job_appends);
-    out += "},\n";
   }
   out += "  \"cache\": {\n";
   out += std::string("    \"enabled\": ") +
          (report.cache.enabled ? "true" : "false") + ",\n";
   out += "    \"max_support\": " + std::to_string(report.cache.max_support) + ",\n";
   out += "    \"flow_lookups\": " + std::to_string(report.totals.cache_lookups);
-  // The memory tier's distinct-function count is a pure function of the job
-  // list only while no persistent tier exists; with a store attached, disk
-  // promotions and whole-job replays legitimately change which keys the
-  // memory tier ever sees, so the field moves to the volatile group (keeping
-  // cold and warm deterministic outputs diffable).
-  if (!report.store.enabled || include_volatile) {
-    out += ",\n    \"unique_functions\": " +
-           std::to_string(report.cache.unique_functions);
-  }
+  out += ",\n    \"unique_functions\": " +
+         std::to_string(report.cache.unique_functions);
   if (include_volatile) {
     out += ",\n";
     out += "    \"hits\": " + std::to_string(report.cache.hits) + ",\n";

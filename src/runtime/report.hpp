@@ -22,7 +22,6 @@
 
 #include "core/flow.hpp"
 #include "runtime/npn_cache.hpp"
-#include "store/persistent_cache.hpp"
 
 namespace hyde::runtime {
 
@@ -46,10 +45,8 @@ struct JobReport {
 struct CacheReport : NpnCacheCounters {
   bool enabled = false;
   int max_support = 0;
-  /// Distinct memoized functions (the needed-key closure). Deterministic for
-  /// memory-only runs; volatile once a persistent store is attached, because
-  /// disk promotions and whole-job replays change which keys reach the
-  /// memory tier.
+  /// Distinct memoized functions (the needed-key closure). Deterministic:
+  /// every key is a pure function of the job list.
   std::uint64_t unique_functions = 0;
 
   double hit_rate() const {
@@ -58,21 +55,10 @@ struct CacheReport : NpnCacheCounters {
   }
 };
 
-/// Persistent on-disk store figures for the whole run: the store's own
-/// counters (src/store/persistent_cache.hpp) snapshotted after the final
-/// flush, plus how it was opened. Volatile: which lookups reach the disk
-/// tier depends on which worker warmed the memory tier first, and the byte
-/// counters track actual disk traffic.
-struct StoreReport : store::StoreCounters {
-  bool enabled = false;
-  bool readonly = false;
-};
-
 struct RunReport {
   int verify_vectors = 0;
   std::vector<JobReport> jobs;  ///< submission order, independent of finish order
   CacheReport cache;
-  StoreReport store;  ///< volatile; persistent-cache runs only
   /// Every job's FlowStats folded by core::merge, in submission order.
   core::FlowStats totals;
   int workers = 1;            ///< volatile

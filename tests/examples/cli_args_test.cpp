@@ -1,8 +1,8 @@
 /// hyde_cli's argument handling, driven through real child processes
 /// (HYDE_CLI_PATH is injected by CMake): every value-range error, the
 /// missing-value / unknown-flag / wrong-run rejections generated from the
-/// flag table, --help, output files that cannot be written, and one accepted
-/// run per mode whose output must not drift.
+/// flag table, --help, output files that cannot be written, one accepted
+/// run per mode whose output must not drift, and gzip input to --in.
 
 #include <cstdint>
 #include <cstdlib>
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "net/gzio.hpp"
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -109,7 +110,6 @@ std::vector<FlagCase> flag_cases() {
       {"--max-group-size", "4", "si"},
       {"--collapse-support", "8", "si"},
       {"--passes", "1", "si"},
-      {"--cache-max-support", "7", "sbi"},
       {"--node-limit", "0", "si"},
       {"--tear-penalty", "1", "si"},
       {"--seed", "1", "bi"},
@@ -122,9 +122,7 @@ std::vector<FlagCase> flag_cases() {
       {"--csv", tmp + "/x.csv", "b"},
       {"--deterministic-json", "", "b"},
       {"--no-cache", "", "b"},
-      {"--cache-dir", tmp + "/cache", "sbi"},
-      {"--cache-readonly", "", "sbi"},
-      {"--cache-max-bytes", "0", "sbi"},
+      {"--cache-max-support", "7", "b"},
   };
 }
 
@@ -161,10 +159,6 @@ TEST(CliArgsTest, ValueErrorsAreStable) {
        "error: --passes expects an integer in 1..16, got '0'"},
       {"@rd73 --cache-max-support 33",
        "error: --cache-max-support expects an integer in 0..32, got '33'"},
-      {"@rd73 --cache-dir ''", "error: --cache-dir expects a directory path"},
-      {"@rd73 --cache-max-bytes -1",
-       "error: --cache-max-bytes expects a non-negative integer (0 = "
-       "unlimited), got '-1'"},
       {"@rd73 --node-limit -1",
        "error: --node-limit expects a non-negative integer (0 = unlimited), "
        "got '-1'"},
@@ -174,15 +168,6 @@ TEST(CliArgsTest, ValueErrorsAreStable) {
        "error: --reorder expects off, sift or auto, got 'foo'"},
       {"@rd73 --reorder-max-growth 1",
        "error: --reorder-max-growth expects a number in (1.0, 64.0], got '1'"},
-      {"@rd73 --cache-readonly",
-       "error: --cache-readonly and --cache-max-bytes only apply to a "
-       "persistent store; add --cache-dir"},
-      {"@rd73 --cache-max-bytes 5",
-       "error: --cache-readonly and --cache-max-bytes only apply to a "
-       "persistent store; add --cache-dir"},
-      {"--batch --no-cache --cache-dir " + temp_dir().string() + "/c",
-       "error: --cache-dir layers the store behind the NPN cache; drop "
-       "--no-cache"},
       {"--in " + mid + " -s all", "error: --in needs a single system for -s"},
       {"--batch --circuits foo", "error: unknown circuit in --circuits: foo"},
       {"--batch --circuits ,", "error: --circuits selected no circuits"},
@@ -207,9 +192,19 @@ TEST(CliArgsTest, MissingValueAndUnknownFlagPrintUsage) {
   EXPECT_EQ(unknown.err.rfind("error: unknown flag '--bogus'\nusage: ", 0), 0u)
       << unknown.err;
 
-  const CliRun pool = run_cli("@rd73 --manager-pool");
-  EXPECT_EQ(pool.status, 2);
-  EXPECT_EQ(pool.err.rfind("error: unknown flag '--manager-pool'\n", 0), 0u);
+  // Flags of deleted features are unknown, not silently accepted.
+  const std::pair<std::string, std::string> removed[] = {
+      {"--manager-pool", "--manager-pool"},
+      {"--cache-dir D", "--cache-dir"},
+      {"--cache-readonly", "--cache-readonly"},
+      {"--cache-max-bytes 0", "--cache-max-bytes"},
+  };
+  for (const auto& [args, flag] : removed) {
+    const CliRun run = run_cli("@rd73 " + args);
+    EXPECT_EQ(run.status, 2) << args;
+    EXPECT_EQ(run.err.rfind("error: unknown flag '" + flag + "'\n", 0), 0u)
+        << run.err;
+  }
 
   const CliRun nothing = run_cli("");
   EXPECT_EQ(nothing.status, 2);
@@ -238,6 +233,13 @@ TEST(CliArgsTest, FlagsOutsideTheirRunsAreRejected) {
       EXPECT_EQ(result.out, "") << args;
     }
   }
+
+  // Only --batch attaches an NPN cache.
+  const CliRun support = run_cli("@rd73 --cache-max-support 5");
+  EXPECT_EQ(support.status, 2);
+  EXPECT_EQ(support.err,
+            "error: --cache-max-support does not apply to single-circuit "
+            "runs\n");
 
   const std::string mid = data_file("win_mid.blif");
   EXPECT_EQ(run_cli("--batch --in " + mid).err,
@@ -298,7 +300,7 @@ TEST(CliArgsTest, HelpListsEveryFlagOnceWithItsRuns) {
     if (line.rfind("  -", 0) == 0) ++flag_lines;
   }
   EXPECT_EQ(flag_lines, rows);
-  EXPECT_EQ(rows, 35);
+  EXPECT_EQ(rows, 32);
 }
 
 TEST(CliArgsTest, UnwritableOutputsFailLoudly) {
@@ -383,6 +385,67 @@ TEST(CliArgsTest, WindowedRunIsUnchanged) {
             "wrote " +
                 blif + "\n");
   EXPECT_EQ(fnv1a(read_text(blif)), 0x0422551C94C26FF2ull);
+}
+
+/// A small but non-trivial BLIF the gzip tests synthesize both ways.
+const char* kBlifText = R"(.model gztest
+.inputs a b c d e
+.outputs f g
+.names a b c x
+111 1
+100 1
+.names c d e y
+1-1 1
+011 1
+.names x y f
+11 1
+.names a x y g
+1-0 1
+011 1
+.end
+)";
+
+void write_gzip(const fs::path& path, const std::string& trailer) {
+  const auto archive = hyde::net::gzip_compress(kBlifText);
+  std::ofstream out(path.string(), std::ios::binary);
+  out.write(reinterpret_cast<const char*>(archive.data()),
+            static_cast<std::streamsize>(archive.size()));
+  out << trailer;
+}
+
+TEST(CrossProcessCacheTest, GzipInputMatchesPlainInput) {
+  if (!hyde::net::gzip_available()) {
+    GTEST_SKIP() << "built without zlib";
+  }
+  const fs::path plain = temp_dir() / "circuit.blif";
+  const fs::path gz = temp_dir() / "circuit.blif.gz";
+  { std::ofstream(plain.string()) << kBlifText; }
+  write_gzip(gz, "");
+
+  const fs::path out_plain = temp_dir() / "out_plain.blif";
+  const fs::path out_gz = temp_dir() / "out_gz.blif";
+  const CliRun run1 =
+      run_cli("--in " + plain.string() + " -o " + out_plain.string());
+  ASSERT_EQ(run1.status, 0) << run1.err;
+  const CliRun run2 = run_cli("--in " + gz.string() + " -o " + out_gz.string());
+  ASSERT_EQ(run2.status, 0) << run2.err;
+  const std::string a = read_text(out_plain);
+  ASSERT_FALSE(a.empty());
+  EXPECT_EQ(a, read_text(out_gz));
+}
+
+TEST(CrossProcessCacheTest, TrailingGarbageArchiveIsRejectedByName) {
+  if (!hyde::net::gzip_available()) {
+    GTEST_SKIP() << "built without zlib";
+  }
+  const fs::path gz = temp_dir() / "bad_circuit.blif.gz";
+  write_gzip(gz, "trailing junk");
+  const CliRun run = run_cli("--in " + gz.string());
+  EXPECT_NE(run.status, 0);
+  const std::string text = run.out + run.err;
+  // The error must name the file (there is no line number to give).
+  EXPECT_NE(text.find(gz.filename().string()), std::string::npos) << text;
+  EXPECT_NE(text.find("trailing garbage"), std::string::npos) << text;
 }
 
 }  // namespace

@@ -1,10 +1,8 @@
 /// Tests for the FlowStats field table (core::kFlowFields) and the report
-/// writers and replay codec driven by it.
+/// writers driven by it.
 
 #include "runtime/report.hpp"
 
-#include <cstddef>
-#include <cstdint>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -88,7 +86,6 @@ TEST(FlowFieldTableTest, AbsorbSearchAndPhasesTouchesOnlyItsGroups) {
     SCOPED_TRACE(field.key);
     const bool absorbed = field.group == FlowGroup::kSearch ||
                           field.group == FlowGroup::kClasses ||
-                          field.group == FlowGroup::kStore ||
                           field.group == FlowGroup::kProfile;
     EXPECT_EQ(into.*field.member,
               absorbed ? before.*field.member + from.*field.member
@@ -114,45 +111,6 @@ TEST(FlowFieldTableTest, CsvHeaderAndRowsHaveTheSameColumnCount) {
     EXPECT_EQ(record.size(), records[0].size());
   }
   EXPECT_EQ(records[2][8], "failed, \"badly\"");
-}
-
-TEST(JobReplayBlobTest, KeepsTheParentLayout) {
-  JobReport job;
-  job.luts = 1;
-  job.clbs = 2;
-  job.depth = 3;
-  job.verified = true;
-  job.stats.decomposition_steps = 5;
-  job.stats.shannon_fallbacks = 6;
-  job.stats.hyper_groups = 7;
-  job.stats.encoder_runs = 8;
-  job.stats.encoder_random_kept = 9;
-  job.stats.collapse_mode = true;
-  job.stats.cache_lookups = 11;
-  job.stats.bdd_cache_hits = 99;  // volatile: never written
-  job.stats.varpart_seconds = 1.5;
-
-  const std::vector<std::uint8_t> blob = serialize_job_outcome(job);
-  ASSERT_EQ(kJobBlobFields, 11u);
-  ASSERT_EQ(blob.size(), kJobBlobFields * 8);
-  const std::uint64_t expected[] = {1, 2, 3, 1, 5, 6, 7, 8, 9, 1, 11};
-  for (std::size_t f = 0; f < kJobBlobFields; ++f) {
-    std::uint64_t v = 0;
-    for (std::size_t b = 0; b < 8; ++b) {
-      v |= std::uint64_t{blob[8 * f + b]} << (8 * b);
-    }
-    EXPECT_EQ(v, expected[f]) << "field " << f;
-  }
-
-  JobReport replayed;
-  ASSERT_TRUE(deserialize_job_outcome(blob, &replayed));
-  EXPECT_EQ(serialize_job_outcome(replayed), blob);
-  EXPECT_EQ(replayed.stats.bdd_cache_hits, 0u);
-  EXPECT_EQ(replayed.stats.varpart_seconds, 0.0);
-
-  std::vector<std::uint8_t> short_blob = blob;
-  short_blob.pop_back();
-  EXPECT_FALSE(deserialize_job_outcome(short_blob, &replayed));
 }
 
 TEST(RunReportGoldenTest, DeterministicJsonMatchesCommittedFile) {
