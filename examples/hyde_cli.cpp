@@ -104,18 +104,6 @@ bool parse_long(const std::string& arg, long* out) {
   return true;
 }
 
-/// Strict decimal parse for floating-point knobs; same contract as
-/// parse_long (the whole argument must be a number).
-bool parse_double(const std::string& arg, double* out) {
-  if (arg.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(arg.c_str(), &end);
-  if (errno != 0 || end == nullptr || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
 /// Prints the standard bad-value error and fails.
 bool expects(const char* flag, const std::string& what,
              const std::string& arg) {
@@ -264,15 +252,6 @@ const Flag kFlags[] = {
                          &mode) &&
               knob(c, &core::FlowOptions::reorder, mode);
      }},
-    {"--reorder-max-growth", "x", kAllRuns,
-     "auto-reorder growth trigger (default 2.0)",
-     [](Config& c, const char* flag, const std::string& arg) {
-       double value = 0.0;
-       if (!parse_double(arg, &value) || !(value > 1.0) || !(value <= 64.0)) {
-         return expects(flag, "a number in (1.0, 64.0]", arg);
-       }
-       return knob(c, &core::FlowOptions::reorder_max_growth, value);
-     }},
     {"--encoding", "random|classes|cubes", kFlowRuns,
      "class encoding (random = Step 1 only)",
      [](Config& c, const char* flag, const std::string& arg) {
@@ -323,16 +302,6 @@ const Flag kFlags[] = {
        return set_int(flag, arg, 0, LONG_MAX, &value,
                       "a non-negative integer (0 = unlimited)") &&
               knob(c, &core::FlowOptions::bdd_node_limit, value);
-     }},
-    {"--tear-penalty", "x", kFlowRuns,
-     "encoder tearing-penalty weight (default 1.0)",
-     [](Config& c, const char* flag, const std::string& arg) {
-       double value = 0.0;
-       if (!parse_double(arg, &value) || !(value >= 0.0) ||
-           !(value <= 1024.0)) {
-         return expects(flag, "a number in [0, 1024]", arg);
-       }
-       return knob(c, &core::FlowOptions::tear_penalty_scale, value);
      }},
     {"--seed", "n", kBatch | kWindowed, "base seed (default 1)",
      [](Config& c, const char* flag, const std::string& arg) {
@@ -537,13 +506,12 @@ void print_result(const Config& c, const std::string& name,
 void print_profile(const core::FlowStats& stats, const char* indent) {
   std::printf(
       "%svarpart %.3fs (selects %llu, evaluated %llu, pruned %llu, "
-      "memo hits %llu, truth-table %llu) | classes %.3fs | encoding %.3fs | "
+      "truth-table %llu) | classes %.3fs | encoding %.3fs | "
       "mapping %.3fs | pack %.3fs | verify %.3fs\n",
       indent, stats.varpart_seconds,
       static_cast<unsigned long long>(stats.search_selects),
       static_cast<unsigned long long>(stats.search_candidates_evaluated),
       static_cast<unsigned long long>(stats.search_candidates_pruned),
-      static_cast<unsigned long long>(stats.search_memo_hits),
       static_cast<unsigned long long>(stats.search_candidates_tt),
       stats.classes_seconds, stats.encoding_seconds, stats.mapping_seconds,
       stats.pack_seconds, stats.verify_seconds);
@@ -562,7 +530,6 @@ int run_batch_mode(const Config& c) {
   options.use_cache = c.use_cache;
   options.cache_max_support = knobs.cache_max_support;
   options.reorder = knobs.reorder;
-  options.reorder_max_growth = knobs.reorder_max_growth;
 
   std::printf("batch: %zu jobs (%zu circuits x %zu systems), k=%d, "
               "%d workers, cache %s\n",
@@ -587,18 +554,14 @@ int run_batch_mode(const Config& c) {
   }
   if (c.profile) {
     std::printf("\nsearch engine: %llu selects, %llu candidates evaluated "
-                "(%llu on truth tables), %llu pruned, %llu memo hits, "
-                "%llu memo clears\n",
+                "(%llu on truth tables), %llu pruned\n",
                 static_cast<unsigned long long>(report.totals.search_selects),
                 static_cast<unsigned long long>(
                     report.totals.search_candidates_evaluated),
                 static_cast<unsigned long long>(
                     report.totals.search_candidates_tt),
                 static_cast<unsigned long long>(
-                    report.totals.search_candidates_pruned),
-                static_cast<unsigned long long>(report.totals.search_memo_hits),
-                static_cast<unsigned long long>(
-                    report.totals.search_memo_clears));
+                    report.totals.search_candidates_pruned));
   }
   std::printf("\n%zu jobs in %.2fs wall on %d workers\n", report.jobs.size(),
               report.wall_seconds, report.workers);

@@ -47,15 +47,10 @@ core::FlowOptions system_flow_options(System system, int k);
 /// \p cache optionally shares NPN-memoized decompositions across runs (see
 /// core/decomp_cache.hpp; the runtime's batch scheduler passes one cache to
 /// every job).
-/// \p reorder / \p reorder_max_growth enable dynamic variable reordering in
-/// the flow's global BDD manager (docs/REORDER.md) — result-affecting, see
-/// core::FlowOptions.
 BaselineResult run_system(const net::Network& input, System system, int k,
                           int verify_vectors = 256, std::uint64_t seed = 1,
                           core::DecompCache* cache = nullptr,
-                          int cache_max_support = 7,
-                          bdd::ReorderMode reorder = bdd::ReorderMode::kOff,
-                          double reorder_max_growth = 2.0);
+                          int cache_max_support = 7);
 
 /// Fully-explicit variant: runs \p system's mapping pipeline (including the
 /// resubstitution pass for kSawadaResubLike) over an arbitrary FlowOptions.

@@ -89,8 +89,7 @@ double row_benefit_bc(const Partition& a, const Partition& b,
 }
 
 ChartAssembly assemble_chart(const std::vector<Partition>& partitions,
-                             int num_rows, int num_cols,
-                             double tear_penalty_scale) {
+                             int num_rows, int num_cols) {
   const int n = static_cast<int>(partitions.size());
   ChartAssembly assembly;
   const int total_kinds = total_symbol_kinds(partitions);
@@ -239,7 +238,7 @@ ChartAssembly assemble_chart(const std::vector<Partition>& partitions,
           for (int m : rows[a]) cs_a.insert(colset_of[static_cast<std::size_t>(m)]);
           for (int m : rows[b]) {
             if (cs_a.count(colset_of[static_cast<std::size_t>(m)]) != 0) {
-              w -= tear_penalty_scale * gc_weight[static_cast<std::size_t>(m)];
+              w -= gc_weight[static_cast<std::size_t>(m)];
             }
           }
           gr_edges.emplace_back(static_cast<int>(a), static_cast<int>(b));
@@ -572,8 +571,8 @@ EncodingChoice encode_functions(bdd::Manager& mgr,
   }
 
   // Steps 5-7.
-  const ChartAssembly assembly = assemble_chart(
-      trace.partitions, num_rows, num_cols, options.tear_penalty_scale);
+  const ChartAssembly assembly =
+      assemble_chart(trace.partitions, num_rows, num_cols);
   trace.psc_table = assembly.psc_table;
   trace.column_sets = assembly.column_sets;
   trace.step7_iterations = assembly.iterations;

@@ -44,13 +44,10 @@ struct EncoderOptions {
   int k = 5;                ///< LUT input count (κ-feasibility bound)
   std::uint64_t seed = 1;   ///< seed for the Step-1 random encoding
   decomp::DcPolicy dc_policy = decomp::DcPolicy::kCliquePartition;
-  /// Weight of the same-column-set tearing penalty in the row benefit; the
-  /// paper subtracts the matched Gc edge weight (factor 1).
-  double tear_penalty_scale = 1.0;
   /// Optional bound-set search engine for Step 3 (must be bound to the same
   /// manager the encoder runs in). Null falls back to the one-shot
   /// select_bound_set; either way the selected λ' is identical — the engine
-  /// only adds memo reuse across the flow's repeated searches.
+  /// only adds this search to the flow's search counters.
   // hyde-knob-ok: engine handle wired by the flow, not a setting.
   decomp::BoundSetSearch* search = nullptr;
   /// Optional counter sink for the Step-8 image-class computations.
@@ -129,8 +126,7 @@ struct ChartAssembly {
 /// column-set combination by b-matching on the column graph, then iterated
 /// row-set merging by benefit-weighted maximum matching.
 ChartAssembly assemble_chart(const std::vector<decomp::Partition>& partitions,
-                             int num_rows, int num_cols,
-                             double tear_penalty_scale = 1.0);
+                             int num_rows, int num_cols);
 
 /// The cube-count-minimizing encoding of Murgai et al. [3] — the paper's
 /// point of contrast for Problem 2 ("those counts may not be a good cost

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -40,25 +39,14 @@ std::uint64_t cache_fingerprint(const FlowOptions& options) {
   mix(static_cast<std::uint64_t>(options.encoding));
   mix(static_cast<std::uint64_t>(options.dc_policy));
   mix(options.ppi_hard_mu ? 1 : 0);
-  // The tearing-penalty weight steers the encoder's Step-6 row pairing, so
-  // non-default values get their own cache universe; the guard keeps
-  // default-configuration fingerprints identical to historical ones.
-  if (options.tear_penalty_scale != 1.0) {
-    std::uint64_t tear_bits = 0;
-    static_assert(sizeof(tear_bits) == sizeof(options.tear_penalty_scale));
-    std::memcpy(&tear_bits, &options.tear_penalty_scale, sizeof(tear_bits));
-    mix(tear_bits);
-  }
-  // Reorder knobs are result-affecting (the variable order steers cube-min
-  // costs and budget outcomes), so templates computed under different
-  // reorder policies must not be shared.
+  // The reorder mode is result-affecting (the variable order steers
+  // cube-min costs and budget outcomes), so templates computed under
+  // different reorder policies must not be shared. The constant is the bit
+  // pattern of 2.0, the manager's auto-reorder growth factor; template seeds
+  // derive from this key, so changing it changes --reorder results.
   if (options.reorder != bdd::ReorderMode::kOff) {
     mix(static_cast<std::uint64_t>(options.reorder));
-    std::uint64_t growth_bits = 0;
-    static_assert(sizeof(growth_bits) == sizeof(options.reorder_max_growth));
-    std::memcpy(&growth_bits, &options.reorder_max_growth,
-                sizeof(growth_bits));
-    mix(growth_bits);
+    mix(0x4000000000000000ull);
   }
   return h;
 }
@@ -82,7 +70,7 @@ class Decomposer {
                                       tt::kMaxExactNpnVars)),
         search_(gm) {}
 
-  /// The flow-lifetime bound-set search engine: its memo spans every
+  /// The flow-lifetime bound-set search engine, shared by every
   /// decomposition step and encoder trial over gm_. The engine's counters
   /// are folded into FlowStats at the end of the flow (and its self-timed
   /// seconds become the varpart phase).
@@ -122,7 +110,8 @@ class Decomposer {
     }
 
     // Bound-set selection: honour a caller hint (the encoder's λ'), else
-    // search sizes k down to 2; hard-μ mode keeps PPIs out of the candidates.
+    // search for the largest non-trivial greedy set of at most k variables;
+    // hard-μ mode keeps PPIs out of the candidates.
     decomp::VarPartitionResult vp;
     preferred = filter_to(preferred, support);
     if (static_cast<int>(preferred.size()) >= 2 &&
@@ -150,22 +139,24 @@ class Decomposer {
         }
         if (static_cast<int>(filtered.size()) > 2) candidates = filtered;
       }
-      for (int size = std::min(options_.k,
-                               static_cast<int>(candidates.size()) - 1);
-           size >= 2 && !vp.success; --size) {
+      // One greedy growth to the largest size; the search itself walks its
+      // prefixes down to 2 until one gives a non-trivial partition.
+      const int size =
+          std::min(options_.k, static_cast<int>(candidates.size()) - 1);
+      if (size >= 2) {
         decomp::VarPartitionOptions vp_options;
         vp_options.bound_size = size;
         vp_options.dc_policy = options_.dc_policy;
         vp_options.require_nontrivial = true;
         if (!options_.ppi_hard_mu) vp_options.avoid = ppi_vars_;
         vp = search_.select(f, candidates, vp_options);
-        if (vp.success && candidates.size() != support.size()) {
-          // Re-derive the free set over the full support.
-          vp.free.clear();
-          for (int v : support) {
-            if (std::find(vp.bound.begin(), vp.bound.end(), v) == vp.bound.end()) {
-              vp.free.push_back(v);
-            }
+      }
+      if (vp.success && candidates.size() != support.size()) {
+        // Re-derive the free set over the full support.
+        vp.free.clear();
+        for (int v : support) {
+          if (std::find(vp.bound.begin(), vp.bound.end(), v) == vp.bound.end()) {
+            vp.free.push_back(v);
           }
         }
       }
@@ -204,7 +195,6 @@ class Decomposer {
       enc_options.seed = options_.seed + static_cast<std::uint64_t>(
                                              stats_.decomposition_steps);
       enc_options.dc_policy = options_.dc_policy;
-      enc_options.tear_penalty_scale = options_.tear_penalty_scale;
       enc_options.search = &search_;
       enc_options.class_stats = &class_stats_;
       EncodingChoice choice =
@@ -529,7 +519,6 @@ std::vector<net::NodeId> run_hyper_group_raw(
   enc_options.k = options.k;
   enc_options.seed = options.seed;
   enc_options.dc_policy = options.dc_policy;
-  enc_options.tear_penalty_scale = options.tear_penalty_scale;
   enc_options.search = &decomposer.search();
   enc_options.class_stats = &decomposer.class_stats();
   const double search_before = decomposer.search().stats().seconds;
@@ -617,7 +606,7 @@ FlowResult run_flow_once(const net::Network& input, const FlowOptions& options,
   bdd::Manager gm(std::max(2, input.num_nodes()));
   if (options.bdd_node_limit != 0) gm.set_node_limit(options.bdd_node_limit);
   if (options.reorder != bdd::ReorderMode::kOff) {
-    gm.set_reorder_mode(options.reorder, options.reorder_max_growth);
+    gm.set_reorder_mode(options.reorder);
     // Soft budget at half the hard cap: GC, then sifting, get a chance to
     // shrink the DAG before growth runs into the std::length_error rung.
     if (options.bdd_node_limit != 0) {

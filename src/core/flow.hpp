@@ -57,12 +57,6 @@ struct FlowOptions {
   int k = 5;  ///< LUT input count
   EncodingPolicy encoding = EncodingPolicy::kCompatibleClass;
   decomp::DcPolicy dc_policy = decomp::DcPolicy::kCliquePartition;
-  /// Weight of the encoder's same-column-set tearing penalty in the Step-6
-  /// row benefit (threaded into EncoderOptions::tear_penalty_scale; the
-  /// paper subtracts the matched Gc edge weight, i.e. factor 1).
-  /// Result-affecting — it steers which rows pair — so non-default values
-  /// enter the NPN-cache fingerprint.
-  double tear_penalty_scale = 1.0;
   bool use_hyper = true;   ///< group outputs into hyper-functions
   GroupChoice group_choice = GroupChoice::kAuto;
   bool ppi_hard_mu = false;  ///< FGSyn-like: PPIs never enter a bound set
@@ -90,14 +84,12 @@ struct FlowOptions {
 
   /// Dynamic variable reordering in the flow's global BDD manager (see
   /// docs/REORDER.md). kSift arms the soft-budget ladder (half the hard
-  /// bdd_node_limit when one is set), kAuto adds the growth trigger. Unlike
-  /// bdd_node_limit these are **result-affecting**: the variable
-  /// order steers one_path_count cube costs and which windows fit a budget,
-  /// so both enter the NPN-cache fingerprint.
+  /// bdd_node_limit when one is set), kAuto adds the growth trigger at the
+  /// manager's default factor of 2. Unlike bdd_node_limit this is
+  /// **result-affecting**: the variable order steers one_path_count cube
+  /// costs and which windows fit a budget, so it enters the NPN-cache
+  /// fingerprint.
   bdd::ReorderMode reorder = bdd::ReorderMode::kOff;
-  /// kAuto growth trigger: reorder when live nodes exceed this factor of the
-  /// watermark left by the last reorder. Must be > 1.
-  double reorder_max_growth = 2.0;
 };
 
 /// Flow outcome counters (area is the post-sweep logic node count; the
@@ -128,8 +120,6 @@ struct FlowStats {
   std::uint64_t search_selects = 0;
   std::uint64_t search_candidates_evaluated = 0;
   std::uint64_t search_candidates_pruned = 0;
-  std::uint64_t search_memo_hits = 0;
-  std::uint64_t search_memo_clears = 0;
   std::uint64_t search_candidates_tt = 0;  ///< counted on truth tables
 
   // Class computation (decomp/compatible.hpp): which compatibility test
@@ -187,8 +177,6 @@ struct FlowStats {
     search_selects += s.selects;
     search_candidates_evaluated += s.candidates_evaluated;
     search_candidates_pruned += s.candidates_pruned;
-    search_memo_hits += s.memo_hits;
-    search_memo_clears += s.memo_clears;
     search_candidates_tt += s.candidates_tt;
     varpart_seconds += s.seconds;
   }
@@ -254,8 +242,6 @@ inline constexpr auto kFlowFields = [] {
                 kSearch, kSum},
       FlowField{&S::search_candidates_pruned, "candidates_pruned", kSearch,
                 kSum},
-      FlowField{&S::search_memo_hits, "memo_hits", kSearch, kSum},
-      FlowField{&S::search_memo_clears, "memo_clears", kSearch, kSum},
       FlowField{&S::search_candidates_tt, "candidates_tt", kSearch, kSum},
       FlowField{&S::class_signature_pairs, "signature_pairs", kClasses, kSum},
       FlowField{&S::class_bdd_pairs, "bdd_pairs", kClasses, kSum},

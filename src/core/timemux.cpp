@@ -40,7 +40,6 @@ TimeMultiplexed build_time_multiplexed(bdd::Manager& mgr,
   enc_options.k = options.k;
   enc_options.seed = options.seed;
   enc_options.dc_policy = options.dc_policy;
-  enc_options.tear_penalty_scale = options.tear_penalty_scale;
   const HyperFunction hyper = build_hyper_function(
       mgr, slots, data_vars, mode_vars, enc_options,
       options.encoding == EncodingPolicy::kCompatibleClass);

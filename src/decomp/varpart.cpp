@@ -8,9 +8,9 @@ VarPartitionResult select_bound_set(bdd::Manager& mgr, const IsfBdd& f,
                                     const std::vector<int>& support,
                                     const VarPartitionOptions& options) {
   // One-shot engine: same greedy growth and tie-breaks as the historical
-  // in-place loop, now shared with the memoized search (see search.hpp for
-  // the equivalence argument). Callers that want memo reuse across selects
-  // hold a BoundSetSearch of their own.
+  // in-place loop (see search.hpp for the equivalence argument). Callers
+  // that want the engine's counters across selects hold a BoundSetSearch of
+  // their own.
   BoundSetSearch search(mgr);
   return search.select(f, support, options);
 }

@@ -23,8 +23,9 @@ struct VarPartitionOptions {
   /// Variables to keep out of the bound set unless unavoidable (e.g. pseudo
   /// primary inputs, per Section 4.3).
   std::vector<int> avoid;
-  /// Require the decomposition to be non-trivial (code bits < bound size);
-  /// when impossible the result reports success=false.
+  /// Require a non-trivial decomposition (code bits < bound size). The
+  /// result is then the largest non-trivial greedy prefix of at least 2
+  /// variables, and reports success=false when there is none.
   bool require_nontrivial = true;
   DcPolicy dc_policy = DcPolicy::kCliquePartition;
 };
@@ -42,8 +43,9 @@ struct VarPartitionResult {
 };
 
 /// Selects a bound set of options.bound_size variables out of \p support
-/// (the function's support in \p mgr), minimizing the compatible-class count.
-/// The remaining support becomes the free set.
+/// (the function's support in \p mgr), minimizing the compatible-class count
+/// (smaller under options.require_nontrivial, see there). The remaining
+/// support becomes the free set.
 VarPartitionResult select_bound_set(bdd::Manager& mgr, const IsfBdd& f,
                                     const std::vector<int>& support,
                                     const VarPartitionOptions& options);

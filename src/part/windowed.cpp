@@ -165,26 +165,24 @@ WindowOutcome resynthesize_window(const net::Network& sub, Window window,
   }
 
   core::merge(outcome.stats, flow.stats);
-  if (options.map_windows) {
-    const auto map_start = std::chrono::steady_clock::now();
-    mapper::dedup_shared_nodes(flow.network);
-    mapper::collapse_into_fanouts(flow.network, options.flow.k);
-    mapper::dedup_shared_nodes(flow.network);
-    outcome.stats.mapping_seconds += seconds_since(map_start);
-  }
+  // Per-window mapper cleanup (dedup + collapse into fanouts), so the
+  // stitched network is mapping-quality, not just k-feasible.
+  const auto map_start = std::chrono::steady_clock::now();
+  mapper::dedup_shared_nodes(flow.network);
+  mapper::collapse_into_fanouts(flow.network, options.flow.k);
+  mapper::dedup_shared_nodes(flow.network);
+  outcome.stats.mapping_seconds += seconds_since(map_start);
 
-  if (options.verify_windows) {
-    const bool ok = net::check_equivalence(sub, flow.network).equivalent;
-    if (!ok) {
-      // A failed local check means a bug somewhere upstream; degrade to
-      // pass-through (counted, never silently wrong) instead of stitching a
-      // bad window into the result.
-      outcome.stats.windows_verify_failures += 1;
-      outcome.stats.windows_passthrough += 1;
-      outcome.pieces.push_back(
-          StitchPiece{std::move(window), false, net::Network("unmapped")});
-      return outcome;
-    }
+  // Check the window against its sub-network (exact for windows within the
+  // input budget). A failure means a bug somewhere upstream; degrade to
+  // pass-through (counted, never silently wrong) instead of stitching a bad
+  // window into the result.
+  if (!net::check_equivalence(sub, flow.network).equivalent) {
+    outcome.stats.windows_verify_failures += 1;
+    outcome.stats.windows_passthrough += 1;
+    outcome.pieces.push_back(
+        StitchPiece{std::move(window), false, net::Network("unmapped")});
+    return outcome;
   }
 
   outcome.stats.windows_resynthesized += 1;

@@ -53,12 +53,6 @@ struct WindowedFlowOptions {
   /// How many times a budget-blown window may be halved before passing
   /// through unmapped.
   int max_split_depth = 3;
-  /// Check each resynthesized window against its sub-network (exact for
-  /// windows within the input budget; failures force pass-through).
-  bool verify_windows = true;
-  /// Run the mapper cleanup (dedup + collapse into fanouts) per window so
-  /// the stitched network is mapping-quality, not just k-feasible.
-  bool map_windows = true;
 };
 
 struct WindowedFlowResult {

@@ -58,7 +58,6 @@ RunReport run_batch(const std::vector<BatchJob>& jobs,
           flow_options.cache = shared_cache;
           flow_options.cache_max_support = options.cache_max_support;
           flow_options.reorder = options.reorder;
-          flow_options.reorder_max_growth = options.reorder_max_growth;
           const baseline::BaselineResult result = baseline::run_system(
               input, job.system, flow_options, options.verify_vectors);
           out.luts = result.luts;

@@ -42,7 +42,6 @@ struct BatchOptions {
   /// (docs/REORDER.md). Result-affecting — part of the NPN-cache
   /// fingerprint — but still bit-identical across worker counts.
   bdd::ReorderMode reorder = bdd::ReorderMode::kOff;
-  double reorder_max_growth = 2.0;
 };
 
 /// Number of workers to use when the caller has no preference: the hardware

@@ -2,9 +2,9 @@
 /// \brief Bound-set search engine correctness: bounded (pruned) column
 /// counting against the recursive reference, the truth-table chart against
 /// the BDD-cut path, and bit-identical selection against a verbatim copy of
-/// the historical greedy loop — fresh, repeated, across shrinking bound
-/// sizes, past the memo's capacity and on both sides of the truth-table
-/// support limit.
+/// the historical greedy loop and the flow's old size-retry loop around it —
+/// fresh, repeated, on one engine across many functions, across bound sizes
+/// and on both sides of the truth-table support limit.
 
 #include <gtest/gtest.h>
 
@@ -81,8 +81,7 @@ IsfBdd random_isf(Manager& mgr, int n, int dc_period, std::mt19937_64& rng,
 
 /// Verbatim re-implementation of the historical select_bound_set greedy loop
 /// (pre-engine): evaluates every candidate from scratch with an exact count.
-/// The engine must reproduce this bit for bit.
-VarPartitionResult legacy_select(Manager& mgr, const IsfBdd& f,
+VarPartitionResult legacy_greedy(Manager& mgr, const IsfBdd& f,
                                  const std::vector<int>& support,
                                  const VarPartitionOptions& options) {
   VarPartitionResult result;
@@ -146,6 +145,23 @@ VarPartitionResult legacy_select(Manager& mgr, const IsfBdd& f,
     result.success = false;
   }
   return result;
+}
+
+/// The engine's reference: the legacy greedy, rerun from scratch at every
+/// size from bound_size down to 2 until one is non-trivial when
+/// require_nontrivial is set (the flow's historical size-retry loop). The
+/// engine must reproduce this bit for bit.
+VarPartitionResult legacy_select(Manager& mgr, const IsfBdd& f,
+                                 const std::vector<int>& support,
+                                 const VarPartitionOptions& options) {
+  VarPartitionOptions sized = options;
+  for (;; --sized.bound_size) {
+    const VarPartitionResult result = legacy_greedy(mgr, f, support, sized);
+    if (result.success || !options.require_nontrivial ||
+        sized.bound_size <= 2) {
+      return result;
+    }
+  }
 }
 
 void expect_same_result(const VarPartitionResult& a,
@@ -282,9 +298,10 @@ TEST(BoundSetSearchTruthTableTest, WiderSupportsStayOnTheCutPath) {
 
 TEST(BoundSetSearchTest, EngineMatchesTheLegacyGreedyAcrossTheTableLimit) {
   // 10, 14 and 16 support variables take the truth-table path, 17 the
-  // BDD-cut path; both must reproduce the legacy greedy, also when the
-  // candidate pool is narrower than the ISF support (the flow's hard-mu
-  // mode keeps pseudo primary inputs out of the pool).
+  // BDD-cut path; both must reproduce the legacy greedy and its size-retry
+  // loop, with and without an avoid set, also when the candidate pool is
+  // narrower than the ISF support (the flow's hard-mu mode keeps pseudo
+  // primary inputs out of the pool).
   std::mt19937_64 rng(82);
   for (const int n : {10, 14, 16, 17}) {
     Manager mgr(n);
@@ -295,15 +312,22 @@ TEST(BoundSetSearchTest, EngineMatchesTheLegacyGreedyAcrossTheTableLimit) {
     for (int v : support) {
       if (v % 3 != 0) pool.push_back(v);
     }
-    VarPartitionOptions options;
-    options.bound_size = 4;
-    options.require_nontrivial = false;
 
     BoundSetSearch engine(mgr);
-    expect_same_result(engine.select(f, support, options),
-                       legacy_select(mgr, f, support, options), "full pool");
-    expect_same_result(engine.select(f, pool, options),
-                       legacy_select(mgr, f, pool, options), "narrow pool");
+    for (const bool narrow : {false, true}) {
+      const std::vector<int>& candidates = narrow ? pool : support;
+      for (const bool avoid : {false, true}) {
+        for (const bool nontrivial : {false, true}) {
+          VarPartitionOptions options;
+          options.bound_size = 4;
+          options.require_nontrivial = nontrivial;
+          if (avoid) options.avoid = {support[1], support[2], support[4]};
+          expect_same_result(engine.select(f, candidates, options),
+                             legacy_select(mgr, f, candidates, options),
+                             narrow ? "narrow pool" : "full pool");
+        }
+      }
+    }
     EXPECT_GT(engine.stats().candidates_evaluated, 0u);
     EXPECT_EQ(engine.stats().candidates_tt,
               n <= kTruthTableChartMaxVars
@@ -314,10 +338,15 @@ TEST(BoundSetSearchTest, EngineMatchesTheLegacyGreedyAcrossTheTableLimit) {
 }
 
 TEST(BoundSetSearchTest, EngineMatchesTheLegacyGreedy) {
+  // Random ISFs of 6..8 variables in one manager. Each select must match the
+  // legacy reference on a fresh engine, on a repeat, and on an engine that
+  // has served every function before it.
   std::mt19937_64 rng(63);
-  for (int trial = 0; trial < 20; ++trial) {
+  Manager mgr(8);
+  BoundSetSearch shared(mgr);
+  int walked_to_two = 0;  // non-trivial searches that failed at every size
+  for (int trial = 0; trial < 200; ++trial) {
     const int n = 6 + static_cast<int>(rng() % 3);  // 6..8 variables
-    Manager mgr(n);
     const Bdd on = random_bdd(mgr, n, rng);
     const Bdd dc = random_bdd(mgr, n, rng) & ~on;
     const IsfBdd f{on, dc};
@@ -331,22 +360,24 @@ TEST(BoundSetSearchTest, EngineMatchesTheLegacyGreedy) {
 
     const VarPartitionResult reference =
         legacy_select(mgr, f, support, options);
+    if (!reference.success && options.require_nontrivial) ++walked_to_two;
 
     BoundSetSearch engine(mgr);
     expect_same_result(engine.select(f, support, options), reference,
                        "single select");
-    // A second select over the same inputs must serve from the memo and
-    // still agree.
     expect_same_result(engine.select(f, support, options), reference,
                        "repeat select");
-    EXPECT_GT(engine.stats().memo_hits, 0u);
+    expect_same_result(shared.select(f, support, options), reference,
+                       "shared engine");
   }
+  EXPECT_GT(walked_to_two, 0);  // the prefix walk was exercised to its end
 }
 
-TEST(BoundSetSearchTest, ShrinkingBoundSizeReplaysThePrefixFromTheMemo) {
-  // The flow re-searches from size k down to 2 when a partition is trivial;
-  // the greedy prefix of a smaller size is a subsequence of the larger one,
-  // so the second select must be served largely from the memo.
+TEST(BoundSetSearchTest, GreedySetsOfSmallerSizesArePrefixes) {
+  // The greedy growth never looks at the target size, so the set grown to
+  // each size is contained in the set grown to the next: a non-trivial
+  // search may grow once and walk the prefixes down. Each size must match
+  // the legacy greedy.
   std::mt19937_64 rng(65);
   Manager mgr(8);
   const Bdd on = random_bdd(mgr, 8, rng);
@@ -356,47 +387,21 @@ TEST(BoundSetSearchTest, ShrinkingBoundSizeReplaysThePrefixFromTheMemo) {
 
   BoundSetSearch engine(mgr);
   VarPartitionOptions options;
-  options.bound_size = 4;
   options.require_nontrivial = false;
-  const auto at4 = engine.select(f, support, options);
-  const std::uint64_t hits_before = engine.stats().memo_hits;
-  options.bound_size = 3;
-  const auto at3 = engine.select(f, support, options);
-  EXPECT_GT(engine.stats().memo_hits, hits_before);
-  // The greedy prefix is shared: the size-3 bound set is a subset of size-4.
-  for (int v : at3.bound) {
-    EXPECT_NE(std::find(at4.bound.begin(), at4.bound.end(), v),
-              at4.bound.end());
-  }
-}
-
-TEST(BoundSetSearchTest, MemoClearsWhenOverCapacityAndStaysCorrect) {
-  // Drive one engine through enough distinct functions that the memo passes
-  // its fixed capacity: it must clear itself, never exceed the cap, and keep
-  // agreeing with the legacy greedy on both sides of the clear.
-  std::mt19937_64 rng(66);
-  Manager mgr(8);
-  BoundSetSearch engine(mgr);
-  VarPartitionOptions options;
-  options.bound_size = 4;
-  bool checked_after_clear = false;
-  for (int trial = 0; !checked_after_clear; ++trial) {
-    ASSERT_LT(trial, 4000) << "memo never reached its capacity";
-    const Bdd on = random_bdd(mgr, 8, rng);
-    const IsfBdd f{on, mgr.zero()};
-    const std::vector<int> support = mgr.support(on);
-    if (static_cast<int>(support.size()) < 5) continue;
-    const bool cleared_before = engine.stats().memo_clears > 0;
+  std::vector<std::vector<int>> by_size(6);
+  for (int size = 2; size <= 5; ++size) {
+    options.bound_size = size;
     const VarPartitionResult got = engine.select(f, support, options);
-    EXPECT_LE(engine.memo_size(), BoundSetSearch::kMemoCapacity);
-    const bool cleared_now = engine.stats().memo_clears > 0 && !cleared_before;
-    if (trial % 97 == 0 || cleared_now) {
-      expect_same_result(got, legacy_select(mgr, f, support, options),
-                         "around the memo capacity");
-    }
-    checked_after_clear = cleared_before;
+    expect_same_result(got, legacy_select(mgr, f, support, options),
+                       "bound size");
+    by_size[static_cast<std::size_t>(size)] = got.bound;
   }
-  EXPECT_GT(engine.stats().memo_clears, 0u);
+  for (std::size_t size = 2; size < 5; ++size) {
+    EXPECT_TRUE(std::includes(by_size[size + 1].begin(),
+                              by_size[size + 1].end(), by_size[size].begin(),
+                              by_size[size].end()))
+        << "size " << size;
+  }
 }
 
 TEST(BoundSetSearchTest, OversizeBoundThrowsLikeLegacy) {
