@@ -1,7 +1,7 @@
 /// Micro-benchmarks of the substrate libraries (google-benchmark): BDD
 /// operations, exact NPN canonicalization, chart enumeration, compatible
-/// classes, graph matching, XC3000 CLB packing, simulation-based equivalence
-/// checking and the encoder itself.
+/// classes, graph matching, the mapper cleanup, XC3000 CLB packing,
+/// simulation-based equivalence checking and the encoder itself.
 
 #include <benchmark/benchmark.h>
 
@@ -11,6 +11,7 @@
 #include "decomp/compatible.hpp"
 #include "decomp/varpart.hpp"
 #include "graph/matching.hpp"
+#include "mapper/lutmap.hpp"
 #include "mapper/xc3000.hpp"
 #include "mcnc/benchmarks.hpp"
 #include "net/verify.hpp"
@@ -157,12 +158,19 @@ BENCHMARK(BM_BlossomMatching)
     ->Args({2048, 2})
     ->Unit(benchmark::kMicrosecond);
 
-/// XC3000 packing of a scale netlist of random 2..5-input gates (already
-/// 5-feasible, so no flow runs first); arg: gates generated, of which the
-/// live cone (counter `luts`) keeps about a third.
+/// A scale netlist of random 2..5-input gates (already 5-feasible, so no
+/// flow runs first); \p gates are generated, of which the live cone keeps
+/// about a third.
+net::Network scale_netlist(benchmark::State& state) {
+  return mcnc::random_multilevel("pack", 64, 16,
+                                 static_cast<int>(state.range(0)), 2, 5, 3);
+}
+
+/// XC3000 packing of the scale netlist; counters: its LUTs and the pairing
+/// graph's edges. Neither bound holds on random gates, so this times the
+/// blossom on the full pairing graph.
 void BM_PackXc3000(benchmark::State& state) {
-  const net::Network network = mcnc::random_multilevel(
-      "pack", 64, 16, static_cast<int>(state.range(0)), 2, 5, 3);
+  const net::Network network = scale_netlist(state);
   const mapper::PairingGraph graph = mapper::xc3000_pairing_graph(network);
   state.counters["luts"] = graph.num_luts;
   state.counters["edges"] =
@@ -172,6 +180,28 @@ void BM_PackXc3000(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PackXc3000)->Arg(8000)->Arg(32000)->Unit(benchmark::kMillisecond);
+
+/// The mapper cleanup the flows run before packing (dedup, collapse into
+/// fanouts, dedup) on a fresh copy of the scale netlist per iteration;
+/// counters: merges and collapses.
+void BM_DedupCollapse(benchmark::State& state) {
+  int merges = 0;
+  int collapses = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    net::Network network = scale_netlist(state);
+    state.ResumeTiming();
+    merges = mapper::dedup_shared_nodes(network);
+    collapses = mapper::collapse_into_fanouts(network, 5);
+    merges += mapper::dedup_shared_nodes(network);
+  }
+  state.counters["merges"] = merges;
+  state.counters["collapses"] = collapses;
+}
+BENCHMARK(BM_DedupCollapse)
+    ->Arg(8000)
+    ->Arg(32000)
+    ->Unit(benchmark::kMillisecond);
 
 /// check_equivalence's simulation fallback on a registry circuit against a
 /// second copy of itself: a one-node budget skips the formal attempt. Arg 0:

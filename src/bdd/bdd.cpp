@@ -1,6 +1,7 @@
 #include "bdd/bdd.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -855,14 +856,43 @@ void Manager::support_rec(std::uint32_t f, std::vector<char>& seen,
 
 std::vector<int> Manager::support(const Bdd& f) {
   check_owned(f);
-  std::vector<char> seen(num_vars_, 0);
-  std::vector<char> visited(nodes_.size(), 0);
-  support_rec(f.id_, seen, visited);
-  std::vector<int> vars;
-  for (int v = 0; v < num_vars_; ++v) {
-    if (seen[v]) vars.push_back(v);
+  // A small function (a network node's local function is a handful of nodes)
+  // is walked with its visited nodes and their variables in short lists, so
+  // the call costs what it visits. One that outgrows the lists is walked
+  // again with a flag per node of the store and per variable.
+  constexpr std::size_t kSmall = 32;
+  std::array<std::uint32_t, kSmall> visited{};
+  std::array<int, kSmall> vars_small{};
+  std::array<std::uint32_t, 2 * kSmall + 1> stack{};
+  std::size_t num_visited = 0;
+  std::size_t top = 0;
+  if (f.id_ > kOne) stack[top++] = f.id_;
+  while (top > 0) {
+    const std::uint32_t id = stack[--top];
+    const auto visited_end =
+        visited.begin() + static_cast<std::ptrdiff_t>(num_visited);
+    if (std::find(visited.begin(), visited_end, id) != visited_end) continue;
+    if (num_visited == kSmall) {
+      std::vector<char> seen(static_cast<std::size_t>(num_vars_), 0);
+      std::vector<char> visited_all(nodes_.size(), 0);
+      support_rec(f.id_, seen, visited_all);
+      std::vector<int> vars;
+      for (int v = 0; v < num_vars_; ++v) {
+        if (seen[static_cast<std::size_t>(v)]) vars.push_back(v);
+      }
+      return vars;
+    }
+    const Node& n = nodes_[id];
+    vars_small[num_visited] = n.var;
+    visited[num_visited++] = id;
+    if (n.lo > kOne) stack[top++] = n.lo;
+    if (n.hi > kOne) stack[top++] = n.hi;
   }
-  return vars;
+  const auto vars_end =
+      vars_small.begin() + static_cast<std::ptrdiff_t>(num_visited);
+  std::sort(vars_small.begin(), vars_end);
+  return std::vector<int>(vars_small.begin(),
+                          std::unique(vars_small.begin(), vars_end));
 }
 
 double Manager::sat_count_rec(std::uint32_t f,

@@ -1,29 +1,22 @@
 #include "mapper/lutmap.hpp"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
 #include <numeric>
+#include <unordered_set>
 #include <vector>
 
 namespace hyde::mapper {
 
 namespace {
 
-/// Canonical key for functional node equality: fanins sorted ascending with
-/// the local truth table permuted to match.
-struct NodeKey {
-  std::vector<net::NodeId> fanins;
-  std::string bits;
-
-  bool operator<(const NodeKey& rhs) const {
-    if (fanins != rhs.fanins) return fanins < rhs.fanins;
-    return bits < rhs.bits;
-  }
-};
+/// A node's dedup key: its fanins sorted ascending, followed by the words of
+/// its local table with the variables permuted to match. Two live logic nodes
+/// with equal keys compute the same function of the same signals.
+using NodeKey = std::vector<std::uint64_t>;
 
 NodeKey canonical_key(const net::Network& network, net::NodeId id) {
   const net::Node& node = network.node(id);
-  tt::TruthTable table = network.local_tt(id);
   // Sort fanin ids; permute table variables accordingly.
   std::vector<int> order(node.fanins.size());
   std::iota(order.begin(), order.end(), 0);
@@ -33,38 +26,119 @@ NodeKey canonical_key(const net::Network& network, net::NodeId id) {
   });
   // order[i] = old position that lands at new position i; permute() wants
   // perm[new] = old.
-  std::vector<int> perm(order.begin(), order.end());
-  table = table.permute(perm);
+  const tt::TruthTable table = network.local_tt(id).permute(order);
   NodeKey key;
+  key.reserve(order.size() + table.words().size());
   for (int old_pos : order) {
-    key.fanins.push_back(node.fanins[static_cast<std::size_t>(old_pos)]);
+    key.push_back(static_cast<std::uint64_t>(
+        node.fanins[static_cast<std::size_t>(old_pos)]));
   }
-  key.bits = table.to_bits();
+  key.insert(key.end(), table.words().begin(), table.words().end());
   return key;
+}
+
+/// One node's key, with the fanins and local function it was computed from:
+/// the key stays valid for as long as both are unchanged.
+struct CachedKey {
+  std::vector<net::NodeId> fanins;
+  bdd::Bdd local;
+  NodeKey key;
+  std::size_t hash = 0;
+};
+
+std::size_t hash_key(const NodeKey& key) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ key.size();
+  for (const std::uint64_t word : key) {
+    h ^= word + 0x9e3779b97f4a7c15ULL + (h << 6U) + (h >> 2U);
+  }
+  return static_cast<std::size_t>(h);
+}
+
+/// The live readers of every node as CSR rows (a reader that uses a node on
+/// two pins is listed twice).
+struct Readers {
+  std::vector<int> offsets;
+  std::vector<net::NodeId> ids;
+
+  Readers(const net::Network& network, const std::vector<net::NodeId>& topo)
+      : offsets(static_cast<std::size_t>(network.num_nodes()) + 1, 0) {
+    for (const net::NodeId id : topo) {
+      for (const net::NodeId f : network.node(id).fanins) {
+        ++offsets[static_cast<std::size_t>(f) + 1];
+      }
+    }
+    std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+    ids.resize(static_cast<std::size_t>(offsets.back()));
+    std::vector<int> fill(offsets.begin(), offsets.end() - 1);
+    for (const net::NodeId id : topo) {
+      for (const net::NodeId f : network.node(id).fanins) {
+        ids[static_cast<std::size_t>(fill[static_cast<std::size_t>(f)]++)] =
+            id;
+      }
+    }
+  }
+};
+
+/// Network::replace_everywhere(old_node, new_node), touching only the
+/// readers the index lists for old_node (and the outputs).
+void redirect(net::Network& network, const Readers& readers,
+              net::NodeId old_node, net::NodeId new_node) {
+  const std::size_t v = static_cast<std::size_t>(old_node);
+  for (int r = readers.offsets[v]; r < readers.offsets[v + 1]; ++r) {
+    for (net::NodeId& f :
+         network.node(readers.ids[static_cast<std::size_t>(r)]).fanins) {
+      if (f == old_node) f = new_node;
+    }
+  }
+  for (net::Output& out : network.outputs()) {
+    if (out.driver == old_node) out.driver = new_node;
+  }
 }
 
 }  // namespace
 
 int dedup_shared_nodes(net::Network& network) {
   int merged_total = 0;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    network.sweep();
-    std::map<NodeKey, net::NodeId> canonical;
-    for (net::NodeId id : network.topo_order()) {
+  std::vector<CachedKey> cache;
+  network.sweep();
+  while (true) {
+    const std::vector<net::NodeId> topo = network.topo_order();
+    const Readers readers(network, topo);
+    cache.resize(static_cast<std::size_t>(network.num_nodes()));
+    auto hash = [&cache](net::NodeId id) {
+      return cache[static_cast<std::size_t>(id)].hash;
+    };
+    auto equal = [&cache](net::NodeId a, net::NodeId b) {
+      return cache[static_cast<std::size_t>(a)].key ==
+             cache[static_cast<std::size_t>(b)].key;
+    };
+    // The first node of each key in topological order survives; a later
+    // one's readers move to it. Those readers come later still, so each node
+    // is keyed once per pass, on its fanins after every earlier merge.
+    std::unordered_set<net::NodeId, decltype(hash), decltype(equal)> canonical(
+        topo.size(), hash, equal);
+    bool changed = false;
+    for (const net::NodeId id : topo) {
       const net::Node& node = network.node(id);
       if (node.kind != net::NodeKind::kLogic || node.dead) continue;
-      NodeKey key = canonical_key(network, id);
-      auto [it, inserted] = canonical.emplace(std::move(key), id);
+      CachedKey& entry = cache[static_cast<std::size_t>(id)];
+      if (!entry.local.is_valid() || entry.local != node.local ||
+          entry.fanins != node.fanins) {
+        entry.fanins = node.fanins;
+        entry.local = node.local;
+        entry.key = canonical_key(network, id);
+        entry.hash = hash_key(entry.key);
+      }
+      const auto [it, inserted] = canonical.insert(id);
       if (!inserted) {
-        network.replace_everywhere(id, it->second);
+        redirect(network, readers, id, *it);
         ++merged_total;
         changed = true;
       }
     }
+    if (!changed) break;
+    network.sweep();
   }
-  network.sweep();
   return merged_total;
 }
 
@@ -239,18 +313,50 @@ int resubstitute(net::Network& network) {
   return eliminated;
 }
 
+namespace {
+
+/// f(x_0, ..., x_{p-1}) as a table: \p f has p variables and x_v is the
+/// table inputs[v], all of \p width words. A multiplexer tree over f's
+/// minterms resolves one variable per level.
+std::vector<std::uint64_t> evaluate(
+    const tt::TruthTable& f,
+    const std::vector<std::vector<std::uint64_t>>& inputs,
+    std::size_t width) {
+  std::size_t slots = static_cast<std::size_t>(f.size());
+  std::vector<std::uint64_t> tree(slots * width, 0);
+  for (std::size_t m = 0; m < slots; ++m) {
+    if (f.bit(m)) {
+      std::fill_n(tree.begin() + static_cast<std::ptrdiff_t>(m * width),
+                  width, ~std::uint64_t{0});
+    }
+  }
+  for (const std::vector<std::uint64_t>& x : inputs) {
+    slots >>= 1U;
+    for (std::size_t i = 0; i < slots; ++i) {
+      for (std::size_t w = 0; w < width; ++w) {
+        tree[i * width + w] = (x[w] & tree[(2 * i + 1) * width + w]) |
+                              (~x[w] & tree[2 * i * width + w]);
+      }
+    }
+  }
+  tree.resize(width);
+  return tree;
+}
+
+}  // namespace
+
 int collapse_into_fanouts(net::Network& network, int k) {
   int collapsed = 0;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    network.sweep();
-    // Occurrence counts and the unique reader of each node.
-    std::vector<int> fanout(static_cast<std::size_t>(network.num_nodes()), 0);
-    std::vector<net::NodeId> reader(static_cast<std::size_t>(network.num_nodes()),
-                                    net::kNoNode);
-    std::vector<char> drives_po(static_cast<std::size_t>(network.num_nodes()), 0);
-    for (net::NodeId id : network.topo_order()) {
+  network.sweep();
+  while (true) {
+    const std::vector<net::NodeId> topo = network.topo_order();
+    // Occurrence counts and the unique reader of each node, as of the start
+    // of the pass.
+    const std::size_t num_nodes = static_cast<std::size_t>(network.num_nodes());
+    std::vector<int> fanout(num_nodes, 0);
+    std::vector<net::NodeId> reader(num_nodes, net::kNoNode);
+    std::vector<char> drives_po(num_nodes, 0);
+    for (net::NodeId id : topo) {
       for (net::NodeId f : network.node(id).fanins) {
         ++fanout[static_cast<std::size_t>(f)];
         reader[static_cast<std::size_t>(f)] = id;
@@ -259,7 +365,8 @@ int collapse_into_fanouts(net::Network& network, int k) {
     for (const auto& out : network.outputs()) {
       drives_po[static_cast<std::size_t>(out.driver)] = 1;
     }
-    for (net::NodeId id : network.topo_order()) {
+    bool changed = false;
+    for (net::NodeId id : topo) {
       const net::Node& inner = network.node(id);
       if (inner.kind != net::NodeKind::kLogic || inner.dead) continue;
       if (drives_po[static_cast<std::size_t>(id)]) continue;
@@ -272,7 +379,8 @@ int collapse_into_fanouts(net::Network& network, int k) {
       // Merged fanins: the reader's other pins plus the inner node's pins.
       std::vector<net::NodeId> merged;
       for (net::NodeId f : outer.fanins) {
-        if (f != id && std::find(merged.begin(), merged.end(), f) == merged.end()) {
+        if (f != id &&
+            std::find(merged.begin(), merged.end(), f) == merged.end()) {
           merged.push_back(f);
         }
       }
@@ -283,38 +391,34 @@ int collapse_into_fanouts(net::Network& network, int k) {
       }
       if (static_cast<int>(merged.size()) > k) continue;
 
-      const tt::TruthTable inner_tt = network.local_tt(id);
-      const tt::TruthTable outer_tt = network.local_tt(r);
-      auto pin_of = [&merged](net::NodeId f) {
-        return static_cast<int>(std::find(merged.begin(), merged.end(), f) -
-                                merged.begin());
+      // Both tables evaluated on the merged pins' variable tables: first the
+      // inner node, then the reader with the inner node's table on its pin.
+      const int arity = static_cast<int>(merged.size());
+      const std::size_t width = tt::TruthTable(arity).words().size();
+      auto pin_table = [&](net::NodeId f) {
+        const auto pos =
+            std::find(merged.begin(), merged.end(), f) - merged.begin();
+        return tt::TruthTable::var(arity, static_cast<int>(pos)).words();
       };
-      const tt::TruthTable combined = tt::TruthTable::from_lambda(
-          static_cast<int>(merged.size()), [&](std::uint64_t m) {
-            std::uint64_t inner_minterm = 0;
-            for (std::size_t p = 0; p < inner.fanins.size(); ++p) {
-              if ((m >> pin_of(inner.fanins[p])) & 1) {
-                inner_minterm |= std::uint64_t{1} << p;
-              }
-            }
-            const bool inner_value = inner_tt.bit(inner_minterm);
-            std::uint64_t outer_minterm = 0;
-            for (std::size_t p = 0; p < outer.fanins.size(); ++p) {
-              const bool v = outer.fanins[p] == id
-                                 ? inner_value
-                                 : (((m >> pin_of(outer.fanins[p])) & 1) != 0);
-              if (v) outer_minterm |= std::uint64_t{1} << p;
-            }
-            return outer_tt.bit(outer_minterm);
-          });
+      std::vector<std::vector<std::uint64_t>> inputs;
+      for (net::NodeId f : inner.fanins) inputs.push_back(pin_table(f));
+      const std::vector<std::uint64_t> inner_words =
+          evaluate(network.local_tt(id), inputs, width);
+      inputs.clear();
+      for (net::NodeId f : outer.fanins) {
+        inputs.push_back(f == id ? inner_words : pin_table(f));
+      }
+      const tt::TruthTable combined = tt::TruthTable::from_words(
+          arity, evaluate(network.local_tt(r), inputs, width));
       net::Node& mutable_outer = network.node(r);
-      mutable_outer.fanins = merged;
+      mutable_outer.fanins = std::move(merged);
       mutable_outer.local = network.manager().from_truth_table(combined);
       ++collapsed;
       changed = true;
     }
+    if (!changed) break;
+    network.sweep();
   }
-  network.sweep();
   return collapsed;
 }
 

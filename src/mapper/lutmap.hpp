@@ -14,6 +14,14 @@ namespace hyde::mapper {
 /// Merges live logic nodes that compute the same local function over the
 /// same fanins (fanin order canonicalized). Runs to a fixpoint interleaved
 /// with sweep(). Returns the number of merged nodes.
+///
+/// Each pass visits the nodes in topo_order(); the first node with a given
+/// key survives and a later one's readers and outputs move to it, through a
+/// reader index built once per pass, so a merge touches only its readers.
+/// The key is the sorted fanins plus the words of the local table permuted
+/// to match, hashed. It is computed once per node and again only when the
+/// node's fanins or local function change (by an earlier merge in the pass,
+/// or by the sweep between passes).
 int dedup_shared_nodes(net::Network& network);
 
 /// Simplified support-minimizing resubstitution in the spirit of Sawada
@@ -26,6 +34,12 @@ int resubstitute(net::Network& network);
 /// logic node into its unique reader whenever the merged node still fits in
 /// k inputs. Applied identically to every flow before counting. Returns the
 /// number of collapsed nodes.
+///
+/// Each pass takes one topo_order() and the fanout counts as of its start,
+/// and visits the nodes in that order; passes repeat, each after a sweep(),
+/// until one collapses nothing. The merged table is the reader's table
+/// evaluated on the inner node's table and the merged pins' variable tables,
+/// word by word.
 int collapse_into_fanouts(net::Network& network, int k);
 
 /// Number of live logic LUTs (constants and single-input nodes count until

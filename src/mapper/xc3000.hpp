@@ -7,21 +7,32 @@
 /// problem on the pairing graph of ≤4-input nodes — solved here exactly with
 /// the blossom algorithm from graph/matching.hpp.
 ///
-/// The pairing graph is built over the ≤4-input nodes only (5-input nodes
-/// cannot pair and take one CLB each). Each node becomes a sorted,
-/// deduplicated fanin array of at most 4 ids; a pair is compatible when
-/// neither node reads the other and the two arrays share enough ids that
-/// their union has at most 5 signals. One pass over the pairs counts the degrees and a
-/// second writes the rows straight into an exact-size CSR adjacency, so no
-/// edge list is ever materialised. Pairs are visited in (i, j) order, so
-/// every row lists its neighbours in ascending vertex order.
+/// The pairing graph's vertices are the ≤4-input nodes (5-input nodes cannot
+/// pair and take one CLB each), counting distinct fanins. A pair is
+/// compatible when neither node reads the other and their fanin union has at
+/// most 5 signals. So two nodes whose sizes sum to at most 5 always pair
+/// unless one reads the other, and every other compatible pair shares an
+/// input. The graph is dense (a 2-input node fits beside any ≤3-input node),
+/// but only its shared-input edges carry information; they are found through
+/// the readers of each signal.
 ///
-/// Size: the graph is dense by nature, because a 2-input node fits beside
-/// any ≤3-input node it does not read. On the 19k-node benchmark netlist
-/// (perfbench's `windowed` input), the mapped result has 14,560 LUTs, of
-/// which 8,778 have at most 4 inputs, and the pairing graph has 8,562,895
-/// edges (68.5 MB of CSR rows). Building it takes about 1 s and matching it
-/// about 1 s (Release, 4-CPU Xeon host; see docs/PERF.md).
+/// pack_xc3000 needs only the matching's size, and it gets it without the
+/// dense graph, from rows kept implicit: a vertex's partners are the
+/// vertices of each size that fit beside it, scanned past its few read
+/// relations, plus its shared-input row.
+///  - Let A be the vertices of at most 2 inputs and H the rest; every edge
+///    inside H is a shared-input one. The blossom matches H; a bipartite
+///    matching extends that into A, and the A vertices left over pair among
+///    themselves.
+///  - Deleting a vertex lowers the matching number by at most one, so
+///    ν(G) ≤ ν(H) + |A|; and ν(G) ≤ ⌊V/2⌋. A result that reaches either is
+///    maximum.
+/// A result proved maximum this way is ClbPacking::certified. If neither
+/// bound is reached, it runs the blossom on the full graph, whose rows are
+/// merged from the sorted size classes and the shared-input rows in
+/// O(V + E). The fallback decides on some small registry networks and on
+/// random-gate netlists, whose unmatched vertices are 4-input LUTs whose
+/// only partners have at most one input.
 
 #pragma once
 
@@ -36,6 +47,9 @@ struct ClbPacking {
   int num_clbs = 0;   ///< total CLBs used
   int paired = 0;     ///< CLBs hosting two functions
   int singles = 0;    ///< CLBs hosting one function
+  /// True when an upper bound proved the matching maximum, false when the
+  /// blossom on the full pairing graph decided.
+  bool certified = false;
 };
 
 /// The XC3000 pairing graph of a 5-feasible network.

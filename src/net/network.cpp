@@ -173,15 +173,19 @@ struct ShapeInfo {
   int pin = -1;  // fanin index for buffer/inverter
 };
 
-ShapeInfo classify(bdd::Manager& mgr, const Node& n) {
+/// Read off the root: a reduced BDD depends on exactly one variable iff its
+/// root's two children are both constants.
+ShapeInfo classify(const Node& n) {
   if (n.kind != NodeKind::kLogic) return {LocalShape::kGeneral, -1};
   if (n.local.is_zero()) return {LocalShape::kConst0, -1};
   if (n.local.is_one()) return {LocalShape::kConst1, -1};
-  const auto sup = mgr.support(n.local);
-  if (sup.size() == 1) {
-    const int v = sup[0];
-    if (n.local == mgr.var(v)) return {LocalShape::kBuffer, v};
-    if (n.local == mgr.nvar(v)) return {LocalShape::kInverter, v};
+  const bdd::Bdd lo = n.local.low();
+  const bdd::Bdd hi = n.local.high();
+  if (lo.is_zero() && hi.is_one()) {
+    return {LocalShape::kBuffer, n.local.top_var()};
+  }
+  if (lo.is_one() && hi.is_zero()) {
+    return {LocalShape::kInverter, n.local.top_var()};
   }
   return {LocalShape::kGeneral, -1};
 }
@@ -203,7 +207,7 @@ int Network::sweep() {
       for (std::size_t j = 0; j < n.fanins.size(); ++j) {
         const Node& fin = nodes_[static_cast<std::size_t>(n.fanins[j])];
         if (fin.kind != NodeKind::kLogic) continue;
-        const ShapeInfo info = classify(*mgr_, fin);
+        const ShapeInfo info = classify(fin);
         const int var = static_cast<int>(j);
         switch (info.shape) {
           case LocalShape::kConst0:
@@ -240,17 +244,15 @@ int Network::sweep() {
           }
         }
       }
-      // Compact away fanins outside the support.
+      // Compact away fanins outside the support (ascending, so it covers
+      // every fanin exactly when it is as long as the fanin list).
       const auto sup = mgr_->support(n.local);
-      std::vector<char> used(n.fanins.size(), 0);
-      for (int v : sup) {
-        if (v >= static_cast<int>(n.fanins.size())) {
-          throw std::logic_error("Network: local function exceeds fanin arity");
-        }
-        used[static_cast<std::size_t>(v)] = 1;
+      if (!sup.empty() && sup.back() >= static_cast<int>(n.fanins.size())) {
+        throw std::logic_error("Network: local function exceeds fanin arity");
       }
-      if (std::find(used.begin(), used.end(), 0) != used.end() &&
-          !n.fanins.empty()) {
+      if (sup.size() < n.fanins.size()) {
+        std::vector<char> used(n.fanins.size(), 0);
+        for (int v : sup) used[static_cast<std::size_t>(v)] = 1;
         std::vector<int> perm(n.fanins.size(), -1);
         std::vector<NodeId> new_fanins;
         for (std::size_t j = 0; j < n.fanins.size(); ++j) {
@@ -272,7 +274,7 @@ int Network::sweep() {
       while (out.driver != kNoNode) {
         const Node& d = nodes_[static_cast<std::size_t>(out.driver)];
         if (d.kind != NodeKind::kLogic) break;
-        const ShapeInfo info = classify(*mgr_, d);
+        const ShapeInfo info = classify(d);
         if (info.shape != LocalShape::kBuffer) break;
         out.driver = d.fanins[static_cast<std::size_t>(info.pin)];
         changed = true;
