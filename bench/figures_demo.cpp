@@ -163,15 +163,15 @@ void figures_8_and_9() {
   net::Network netw("example41");
   std::vector<net::NodeId> pis;
   for (int i = 0; i < 9; ++i) {
-    pis.push_back(netw.add_input("i" + std::to_string(i)));
+    pis.push_back(netw.add_input(std::string("i").append(std::to_string(i))));
   }
   // Realize each ingredient as one wide node, then run the HYDE flow with
   // forced hyper-grouping so the four outputs merge.
   std::vector<int> vars{0, 1, 2, 3, 4, 5, 6, 7, 8};
   for (std::size_t i = 0; i < ingredients.size(); ++i) {
     const auto table = mgr.to_truth_table(ingredients[i].on, vars);
-    netw.add_output("f" + std::to_string(i),
-                    netw.add_logic_tt("f" + std::to_string(i), pis, table));
+    const std::string name = std::string("f").append(std::to_string(i));
+    netw.add_output(name, netw.add_logic_tt(name, pis, table));
   }
   core::FlowOptions options = core::hyde_options(5);
   options.group_choice = core::GroupChoice::kAlwaysHyper;

@@ -166,7 +166,7 @@ constexpr int kStressNodes = 96;
 /// the identity order must blow the window while auto reordering maps it.
 void add_adversarial_cone(Network& out, int index) {
   namespace htt = hyde::tt;
-  const std::string p = "adv" + std::to_string(index) + "_";
+  const std::string p = std::string("adv").append(std::to_string(index)) + "_";
   const int n = kConePairs;
   std::vector<hyde::net::NodeId> xs(n);
   std::vector<hyde::net::NodeId> ys(n);
@@ -225,7 +225,7 @@ Network make_scale() {
     const Network tile = hyde::mcnc::random_multilevel(
         "scale_tile", 64, 16, 40000, 3, 9, 21 + static_cast<std::uint64_t>(c));
     std::unordered_map<hyde::net::NodeId, hyde::net::NodeId> map;
-    const std::string prefix = "t" + std::to_string(c) + "_";
+    const std::string prefix = std::string("t").append(std::to_string(c)) + "_";
     for (hyde::net::NodeId id : tile.topo_order()) {
       const hyde::net::Node& n = tile.node(id);
       if (n.kind == hyde::net::NodeKind::kInput) {
@@ -591,8 +591,8 @@ int main(int argc, char** argv) {
   json += "{\n";
   json += "  \"schema\": \"hyde.bench_window.v1\",\n";
   json += "  \"engine\": \"" + label + "\",\n";
-  json += "  \"budget\": " + std::to_string(kBudget) + ",\n";
-  json += "  \"cpus\": " + std::to_string(cpus) + ",\n";
+  json += std::string("  \"budget\": ").append(std::to_string(kBudget)) + ",\n";
+  json += std::string("  \"cpus\": ").append(std::to_string(cpus)) + ",\n";
   json += "  \"configs\": [\"t1\", \"t2\", \"t4\", \"reorder_t1..t4\", "
           "\"stress_t4\", \"whole_gov\", \"whole_free\"],\n";
   json += "  \"gates\": [\n";

@@ -13,8 +13,12 @@ int main() {
   // 6-bit + 6-bit + carry-in ripple adder built from full-adder cells.
   net::Network input("adder6");
   std::vector<net::NodeId> a, b;
-  for (int i = 0; i < 6; ++i) a.push_back(input.add_input("a" + std::to_string(i)));
-  for (int i = 0; i < 6; ++i) b.push_back(input.add_input("b" + std::to_string(i)));
+  for (int i = 0; i < 6; ++i) {
+    a.push_back(input.add_input(std::string("a").append(std::to_string(i))));
+  }
+  for (int i = 0; i < 6; ++i) {
+    b.push_back(input.add_input(std::string("b").append(std::to_string(i))));
+  }
   const net::NodeId cin = input.add_input("cin");
   const auto sum3 = tt::TruthTable::from_lambda(3, [](std::uint64_t m) {
     return std::popcount(m) % 2 == 1;
@@ -24,9 +28,10 @@ int main() {
   for (int i = 0; i < 6; ++i) {
     const std::vector<net::NodeId> cell{a[static_cast<std::size_t>(i)],
                                         b[static_cast<std::size_t>(i)], carry};
-    input.add_output("s" + std::to_string(i),
-                     input.add_logic_tt("s" + std::to_string(i), cell, sum3));
-    carry = input.add_logic_tt("c" + std::to_string(i), cell, maj3);
+    const std::string sum = std::string("s").append(std::to_string(i));
+    input.add_output(sum, input.add_logic_tt(sum, cell, sum3));
+    carry = input.add_logic_tt(std::string("c").append(std::to_string(i)),
+                               cell, maj3);
   }
   input.add_output("cout", carry);
   std::printf("input: %s\n\n", input.stats().c_str());

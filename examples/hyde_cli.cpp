@@ -124,8 +124,10 @@ bool set_int(const char* flag, const std::string& arg, long lo, long hi,
   }
   return expects(flag,
                  what != nullptr ? what
-                                 : "an integer in " + std::to_string(lo) +
-                                       ".." + std::to_string(hi),
+                                 : std::string("an integer in ")
+                                       .append(std::to_string(lo))
+                                       .append("..")
+                                       .append(std::to_string(hi)),
                  arg);
 }
 
@@ -376,7 +378,7 @@ int usage() {
       if (std::strcmp(flag.name, mode_name(mode)) == 0) {
         words.insert(words.begin(), flag_text(flag));
       } else {
-        words.push_back("[" + flag_text(flag) + "]");
+        words.push_back(std::string("[").append(flag_text(flag)).append("]"));
       }
     }
     if (mode == kSingle) words.push_back(kCircuitArg);

@@ -16,7 +16,7 @@ int main() {
   net::Network input("cmpbank");
   std::vector<net::NodeId> pis;
   for (int i = 0; i < 8; ++i) {
-    pis.push_back(input.add_input("x" + std::to_string(i)));
+    pis.push_back(input.add_input(std::string("x").append(std::to_string(i))));
   }
   auto word = [](std::uint64_t m, int lo) { return (m >> lo) & 15; };
   const auto eq = tt::TruthTable::from_lambda(

@@ -23,7 +23,7 @@ int main() {
   net::Network input("voter");
   std::vector<net::NodeId> pis;
   for (int i = 0; i < 9; ++i) {
-    pis.push_back(input.add_input("x" + std::to_string(i)));
+    pis.push_back(input.add_input(std::string("x").append(std::to_string(i))));
   }
   const tt::TruthTable majority = tt::TruthTable::symmetric(9, {5, 6, 7, 8, 9});
   const tt::TruthTable near_tie = tt::TruthTable::symmetric(9, {4, 5});

@@ -969,30 +969,74 @@ Bdd Manager::from_truth_table(const tt::TruthTable& table,
                               const std::vector<int>& var_map) {
   maybe_gc();
   const int n = table.num_vars();
-  std::vector<int> map(static_cast<std::size_t>(n));
+  constexpr auto kMax = static_cast<std::size_t>(tt::TruthTable::kMaxVars);
+  std::array<int, kMax> var{};  // manager variable of each table variable
+  int top_var = -1;
   for (int i = 0; i < n; ++i) {
-    map[static_cast<std::size_t>(i)] =
-        var_map.empty() ? i : var_map[static_cast<std::size_t>(i)];
+    const auto u = static_cast<std::size_t>(i);
+    var[u] = var_map.empty() ? i : var_map[u];
+    top_var = std::max(top_var, var[u]);
   }
-  ensure_vars(n == 0 ? 0 : 1 + *std::max_element(map.begin(), map.end()));
-  // Table variables sorted by ascending manager *level*: the recursion
-  // branches on the topmost variable first and builds bottom levels deepest.
-  std::vector<int> order(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) order[static_cast<std::size_t>(i)] = i;
-  std::sort(order.begin(), order.end(), [this, &map](int a, int b) {
-    return level_of(map[static_cast<std::size_t>(a)]) <
-           level_of(map[static_cast<std::size_t>(b)]);
-  });
+  ensure_vars(top_var + 1);
+  // Permute a copy of the table so that position i holds the i-th deepest
+  // variable in the manager's order: the topmost variable then halves the
+  // table, and every sub-table the recursion visits is one contiguous bit
+  // range, so constant sub-tables are recognised word-wise.
+  std::array<int, kMax> deepest_first{};
+  std::array<int, kMax> at{};  // table variable at each position
+  for (int i = 0; i < n; ++i) {
+    deepest_first[static_cast<std::size_t>(i)] = i;
+    at[static_cast<std::size_t>(i)] = i;
+  }
+  std::sort(deepest_first.begin(), deepest_first.begin() + n,
+            [this, &var](int a, int b) {
+              return level_of(var[static_cast<std::size_t>(a)]) >
+                     level_of(var[static_cast<std::size_t>(b)]);
+            });
+  std::uint64_t word = table.words()[0];
+  std::vector<std::uint64_t> wide;
+  if (n > 6) wide = table.words();
+  std::uint64_t* const words = n > 6 ? wide.data() : &word;
+  for (int i = 0; i < n; ++i) {
+    const auto from = static_cast<int>(
+        std::find(at.begin() + i, at.begin() + n,
+                  deepest_first[static_cast<std::size_t>(i)]) -
+        at.begin());
+    if (from != i) {
+      tt::swap_vars_in_place(words, n, from, i);
+      std::swap(at[static_cast<std::size_t>(from)],
+                at[static_cast<std::size_t>(i)]);
+    }
+  }
 
-  std::function<std::uint32_t(int, std::uint64_t)> rec =
-      [&](int depth, std::uint64_t offset) -> std::uint32_t {
-    if (depth == n) return table.bit(offset) ? kOne : kZero;
-    const int tv = order[static_cast<std::size_t>(depth)];
-    const std::uint32_t lo = rec(depth + 1, offset);
-    const std::uint32_t hi = rec(depth + 1, offset | (std::uint64_t{1} << tv));
-    return make_node(map[static_cast<std::size_t>(tv)], lo, hi);
+  // Node of the sub-table over positions 0..top-1 starting at bit base.
+  const auto rec = [&](const auto& self, int top,
+                       std::size_t base) -> std::uint32_t {
+    if (top <= 6) {
+      const std::uint64_t bits =
+          top == 6 ? ~std::uint64_t{0}
+                   : (std::uint64_t{1} << (std::size_t{1} << top)) - 1;
+      const std::uint64_t w = (words[base >> 6] >> (base & 63)) & bits;
+      if (w == 0) return kZero;
+      if (w == bits) return kOne;
+    } else {
+      const std::uint64_t* first = words + (base >> 6);
+      const std::uint64_t* last = first + (std::size_t{1} << (top - 6));
+      if (std::all_of(first, last, [](std::uint64_t w) { return w == 0; })) {
+        return kZero;
+      }
+      if (std::all_of(first, last,
+                      [](std::uint64_t w) { return w == ~std::uint64_t{0}; })) {
+        return kOne;
+      }
+    }
+    const std::size_t half = std::size_t{1} << (top - 1);
+    const std::uint32_t lo = self(self, top - 1, base);
+    const std::uint32_t hi = self(self, top - 1, base + half);
+    const auto position = static_cast<std::size_t>(top - 1);
+    return make_node(var[static_cast<std::size_t>(at[position])], lo, hi);
   };
-  return make_external(rec(0, 0));
+  return make_external(rec(rec, n, 0));
 }
 
 tt::TruthTable Manager::to_truth_table(const Bdd& f,

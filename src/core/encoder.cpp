@@ -1,6 +1,7 @@
 #include "core/encoder.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <set>
@@ -8,6 +9,7 @@
 
 #include "decomp/search.hpp"
 #include "graph/matching.hpp"
+#include "tt/truth_table.hpp"
 
 namespace hyde::core {
 
@@ -35,14 +37,68 @@ int total_symbol_kinds(const std::vector<Partition>& parts) {
   return static_cast<int>(all.size());
 }
 
+/// Writes \p block (the low 2^width bits of a table over width variables)
+/// as block number \p index of \p table.
+void place_block(std::vector<std::uint64_t>* table,
+                 const std::vector<std::uint64_t>& block, int width,
+                 std::size_t index) {
+  if (width >= 6) {
+    const auto at = static_cast<std::ptrdiff_t>(index * block.size());
+    std::copy(block.begin(), block.end(), table->begin() + at);
+    return;
+  }
+  const std::size_t bit = index << width;
+  (*table)[bit >> 6] |= block[0] << (bit & 63);
+}
+
 /// Number of compatible classes of the image built from \p functions under
-/// \p encoding, decomposed with bound set \p lambda (the Step-8 cost).
+/// \p encoding, decomposed with bound set \p lambda (the Step-8 cost). When
+/// the functions' support and the α variables fit one TruthTableChart, the
+/// image is assembled on tables, one block per code (build_image's image:
+/// a class's on and dc under its code, an all-dc block under an unused
+/// one), and counted there; otherwise it is built and counted as BDDs.
 int image_class_cost(bdd::Manager& mgr, const std::vector<IsfBdd>& functions,
                      const Encoding& encoding, const std::vector<int>& alpha_vars,
                      const std::vector<int>& lambda,
                      const std::vector<int>& all_vars,
                      decomp::DcPolicy dc_policy,
                      decomp::ClassStats* class_stats) {
+  std::set<int> input_set;
+  for (const IsfBdd& fn : functions) {
+    for (int v : mgr.support(fn.on)) input_set.insert(v);
+    for (int v : mgr.support(fn.dc)) input_set.insert(v);
+  }
+  std::vector<int> vars(input_set.begin(), input_set.end());
+  const bool alpha_apart = std::none_of(
+      alpha_vars.begin(), alpha_vars.end(),
+      [&input_set](int v) { return input_set.count(v) != 0; });
+  const int width = static_cast<int>(vars.size());
+  const int num_vars = width + static_cast<int>(alpha_vars.size());
+  if (alpha_apart && num_vars <= decomp::kTruthTableChartMaxVars) {
+    const std::size_t words =
+        num_vars <= 6 ? 1 : std::size_t{1} << (num_vars - 6);
+    std::vector<std::uint64_t> on(words, 0);
+    std::vector<std::uint64_t> dc(words, 0);
+    std::vector<char> used(std::size_t{1} << alpha_vars.size(), 0);
+    for (std::size_t i = 0; i < functions.size(); ++i) {
+      const std::uint32_t code = encoding.codes[i];
+      used[code] = 1;
+      place_block(&on, mgr.to_truth_table(functions[i].on, vars).words(),
+                  width, code);
+      place_block(&dc, mgr.to_truth_table(functions[i].dc, vars).words(),
+                  width, code);
+    }
+    const std::vector<std::uint64_t> all_dc =
+        tt::TruthTable::ones(width).words();
+    for (std::size_t code = 0; code < used.size(); ++code) {
+      if (used[code] == 0) place_block(&dc, all_dc, width, code);
+    }
+    vars.insert(vars.end(), alpha_vars.begin(), alpha_vars.end());
+    decomp::TruthTableChart chart;
+    chart.load(std::move(vars), std::move(on), std::move(dc));
+    return decomp::count_compatible_classes(chart, lambda, dc_policy,
+                                            class_stats);
+  }
   decomp::DecompSpec spec;
   spec.mgr = &mgr;
   spec.f = decomp::build_image(mgr, functions, encoding, alpha_vars);
@@ -611,9 +667,9 @@ EncodingChoice encode_functions(bdd::Manager& mgr,
   // Step 8: keep whichever encoding yields fewer image classes.
   std::vector<int> all_vars = input_vars;
   all_vars.insert(all_vars.end(), alpha_vars.begin(), alpha_vars.end());
-  trace.random_image_classes =
-      image_class_cost(mgr, functions, random_enc, alpha_vars, vp.bound,
-                       all_vars, options.dc_policy, options.class_stats);
+  // The random encoding's image is g' and λ' its bound set, so Step 3
+  // already counted its classes.
+  trace.random_image_classes = vp.num_classes;
   if (assembled) {
     trace.chosen_image_classes =
         image_class_cost(mgr, functions, structured, alpha_vars, vp.bound,

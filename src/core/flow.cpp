@@ -117,17 +117,12 @@ class Decomposer {
     if (static_cast<int>(preferred.size()) >= 2 &&
         static_cast<int>(preferred.size()) <= options_.k &&
         preferred.size() < support.size()) {
-      decomp::DecompSpec spec = make_spec(f, support, preferred);
       const auto classes_start = std::chrono::steady_clock::now();
-      const int classes =
-          decomp::count_compatible_classes(spec, options_.dc_policy,
-                                           &class_stats_);
+      decomp::VarPartitionResult hinted = search_.evaluate(
+          f, support, preferred, options_.dc_policy, &class_stats_);
       stats_.classes_seconds += seconds_since(classes_start);
-      if (bits_for(classes) < static_cast<int>(preferred.size())) {
-        vp.success = true;
-        vp.bound = preferred;
-        vp.free = spec.free;
-        vp.num_classes = classes;
+      if (bits_for(hinted.num_classes) < static_cast<int>(preferred.size())) {
+        vp = std::move(hinted);
       }
     }
     if (!vp.success) {
@@ -163,15 +158,10 @@ class Decomposer {
     }
     if (!vp.success) return shannon(f, support);
 
-    decomp::DecompSpec spec;
-    spec.mgr = &gm_;
-    spec.f = f;
-    spec.bound = vp.bound;
-    spec.free = vp.free;
+    // The search's chart of f serves the classes when it chose vp.
     const auto classes_start = std::chrono::steady_clock::now();
     const auto classes =
-        decomp::compute_compatible_classes(spec, options_.dc_policy,
-                                           &class_stats_);
+        search_.classes(f, vp, options_.dc_policy, &class_stats_);
     stats_.classes_seconds += seconds_since(classes_start);
     if (classes.num_classes() == 1) {
       // The function does not truly depend on the bound set.
@@ -268,7 +258,8 @@ class Decomposer {
     std::vector<int> vars;
     for (int i = 0; i < n; ++i) {
       vars.push_back(i);
-      sub.map_var(i, tmpl.add_input("x" + std::to_string(i)));
+      sub.map_var(i,
+                  tmpl.add_input(std::string("x").append(std::to_string(i))));
     }
     sub.reserve_vars(n);
     const IsfBdd g{tm.from_truth_table(key.on, vars),
@@ -364,20 +355,6 @@ class Decomposer {
       }
     }
     return result;
-  }
-
-  decomp::DecompSpec make_spec(const IsfBdd& f, const std::vector<int>& support,
-                               const std::vector<int>& bound) {
-    decomp::DecompSpec spec;
-    spec.mgr = &gm_;
-    spec.f = f;
-    spec.bound = bound;
-    for (int v : support) {
-      if (std::find(bound.begin(), bound.end(), v) == bound.end()) {
-        spec.free.push_back(v);
-      }
-    }
-    return spec;
   }
 
   std::vector<int> isf_support(const IsfBdd& f) {

@@ -215,6 +215,18 @@ bool TruthTableChart::load(bdd::Manager& mgr, const IsfBdd& f, int max_vars) {
   return true;
 }
 
+bool TruthTableChart::load(std::vector<int> vars,
+                           std::vector<std::uint64_t> on,
+                           std::vector<std::uint64_t> dc) {
+  loaded_ = static_cast<int>(vars.size()) <= kTruthTableChartMaxVars;
+  if (!loaded_) return false;
+  num_vars_ = static_cast<int>(vars.size());
+  on_ = std::move(on);
+  dc_ = std::move(dc);
+  at_ = std::move(vars);
+  return true;
+}
+
 bool TruthTableChart::dc_is_zero() const {
   return std::all_of(dc_.begin(), dc_.end(),
                      [](std::uint64_t w) { return w == 0; });
@@ -265,12 +277,14 @@ int TruthTableChart::arrange(const std::vector<int>& bound, bool exact) {
 }
 
 BoundedCount TruthTableChart::count_blocks(int p, int max_columns,
-                                           bool record) {
+                                           std::vector<int>* block_column) {
   const int rest = num_vars_ - p;
   const std::size_t blocks = std::size_t{1} << p;
   std::size_t capacity = 2;
   while (capacity < 2 * blocks) capacity *= 2;
   slots_.assign(capacity, -1);
+  reps_.clear();
+  if (block_column != nullptr) block_column->assign(blocks, 0);
   const std::size_t mask = capacity - 1;
   BoundedCount result;
 
@@ -297,56 +311,55 @@ BoundedCount TruthTableChart::count_blocks(int p, int max_columns,
                           ? key(b) * 0x9E3779B97F4A7C15ull
                           : block_hash(&on_[b * words], &dc_[b * words], words);
     std::size_t i = static_cast<std::size_t>(h ^ (h >> 29)) & mask;
-    bool seen = false;
-    while (slots_[i] >= 0) {
-      if (same(static_cast<std::size_t>(slots_[i]), b)) {
-        seen = true;
-        break;
-      }
+    while (slots_[i] >= 0 &&
+           !same(reps_[static_cast<std::size_t>(slots_[i])], b)) {
       i = (i + 1) & mask;
     }
-    if (seen) continue;
-    slots_[i] = static_cast<std::int32_t>(b);
-    ++result.count;
-    if (record) reps_.push_back(b);
-    if (max_columns > 0 && result.count > max_columns) {
-      result.pruned = true;
-      break;
+    if (slots_[i] < 0) {
+      slots_[i] = result.count++;
+      reps_.push_back(b);
+      if (max_columns > 0 && result.count > max_columns) {
+        result.pruned = true;
+        break;
+      }
     }
+    if (block_column != nullptr) (*block_column)[b] = slots_[i];
   }
   return result;
 }
 
 BoundedCount TruthTableChart::count_columns(const std::vector<int>& bound,
                                             int max_columns) {
-  return count_blocks(arrange(bound, false), max_columns, false);
+  return count_blocks(arrange(bound, false), max_columns, nullptr);
 }
 
-std::vector<ColumnSignature> TruthTableChart::column_signatures(
-    const std::vector<int>& bound) {
+ChartLayout TruthTableChart::layout(const std::vector<int>& bound) {
   const int p = arrange(bound, true);
-  reps_.clear();
-  count_blocks(p, 0, true);
+  ChartLayout out;
+  count_blocks(p, 0, &out.block_column);
   const int rest = num_vars_ - p;
-  std::vector<ColumnSignature> sigs(reps_.size());
+  out.row_vars.assign(at_.begin(), at_.begin() + rest);
+  out.column_vars.assign(at_.begin() + rest, at_.end());
+  out.columns.resize(reps_.size());
   for (std::size_t c = 0; c < reps_.size(); ++c) {
+    ColumnSignature& sig = out.columns[c];
     if (rest >= 6) {
       const std::size_t words = std::size_t{1} << (rest - 6);
       const auto first = static_cast<std::ptrdiff_t>(reps_[c] * words);
       const auto last = first + static_cast<std::ptrdiff_t>(words);
-      sigs[c].on.assign(on_.begin() + first, on_.begin() + last);
-      sigs[c].care.assign(dc_.begin() + first, dc_.begin() + last);
-      for (std::uint64_t& w : sigs[c].care) w = ~w;
+      sig.on.assign(on_.begin() + first, on_.begin() + last);
+      sig.care.assign(dc_.begin() + first, dc_.begin() + last);
+      for (std::uint64_t& w : sig.care) w = ~w;
     } else {
       const unsigned width = 1u << rest;
       const std::uint64_t bits = (std::uint64_t{1} << width) - 1;
       const std::size_t bit = reps_[c] * width;
       const unsigned shift = static_cast<unsigned>(bit & 63);
-      sigs[c].on = {(on_[bit >> 6] >> shift) & bits};
-      sigs[c].care = {~(dc_[bit >> 6] >> shift) & bits};
+      sig.on = {(on_[bit >> 6] >> shift) & bits};
+      sig.care = {~(dc_[bit >> 6] >> shift) & bits};
     }
   }
-  return sigs;
+  return out;
 }
 
 bdd::Bdd minterm_cube(bdd::Manager& mgr, const std::vector<int>& vars,

@@ -16,10 +16,12 @@
 /// by propagating bound-literal cubes top-down.
 ///
 /// Functions with at most kTruthTableChartMaxVars support variables have a
-/// second, count-only path: TruthTableChart holds f as two packed truth
-/// tables and counts a chart's columns as the distinct blocks of the tables
-/// once the bound set is swapped to the top positions. It gives exactly the
-/// counts of the cut path (see TruthTableChart for the contract); the cut
+/// second path: TruthTableChart holds f as two packed truth tables, where a
+/// chart's columns are the distinct blocks of the tables once the bound set
+/// is swapped to the top positions. It counts columns for the bound-set
+/// search and lays a chart out for class construction (class functions and
+/// indicators come from the blocks by one BDD build each), with exactly the
+/// results of the cut path (see TruthTableChart for the contract). The cut
 /// path stays the only one for wider supports and is its test oracle.
 
 #pragma once
@@ -128,23 +130,35 @@ BoundedCount count_columns_bounded(const DecompSpec& spec, int max_columns);
 /// primary inputs in a hyper-function) keep the BDD-cut path.
 inline constexpr int kTruthTableChartMaxVars = 16;
 
-/// A chart counter over f = (on, dc) held as two packed truth tables, one
-/// position per support variable. Counting a bound set swaps its variables
-/// to the top positions (word-level swaps, so at most one swap per variable
-/// that is not already there), which makes every chart column a contiguous
-/// block of both tables; the columns are the distinct (on, dc) block pairs.
-/// Bound variables outside f's support do not shape the columns and are
-/// ignored.
+/// A chart of TruthTableChart laid out for class construction: its columns
+/// in enumerate_columns' order and where their bits live.
+struct ChartLayout {
+  /// Column signatures over row_vars: row minterm m is bit m (bit i of m is
+  /// row_vars[i]). Below 64 rows the single word keeps only the low 2^|rows|
+  /// bits.
+  std::vector<ColumnSignature> columns;
+  std::vector<int> row_vars;     ///< the free support variables
+  std::vector<int> column_vars;  ///< bound variable of each block-index bit
+  /// Column of every block: block b assigns column_vars[j] the bit j of b.
+  std::vector<int> block_column;
+};
+
+/// A chart engine over f = (on, dc) held as two packed truth tables, one
+/// position per variable. Counting a bound set swaps its variables to the
+/// top positions (word-level swaps, so at most one swap per variable that is
+/// not already there), which makes every chart column a contiguous block of
+/// both tables; the columns are the distinct (on, dc) block pairs. Bound
+/// variables outside f's support do not shape the columns and are ignored;
+/// table variables f does not depend on change no count and no class.
 ///
 /// Identity contract, for every bound set and threshold:
 ///  - count_columns(bound, t) equals count_columns_bounded(spec, t) — exact
 ///    when not pruned, pruned iff the true count exceeds t > 0, and then
 ///    count == t + 1;
-///  - column_signatures(bound) lists the columns in enumerate_columns'
-///    order (first occurrence with bound[0] as the most significant
-///    assignment bit), so the compatible classes derived from them
-///    (count_compatible_classes in compatible.hpp) are those of the BDD
-///    path.
+///  - layout(bound) lists the columns in enumerate_columns' order (first
+///    occurrence with bound[0] as the most significant assignment bit), so
+///    the compatible classes derived from it (compatible.hpp) are those of
+///    the BDD path, BDD for BDD.
 ///
 /// Holds scratch buffers and no shared state: one chart per search engine.
 class TruthTableChart {
@@ -155,6 +169,12 @@ class TruthTableChart {
   /// a larger limit to measure past it).
   bool load(bdd::Manager& mgr, const IsfBdd& f,
             int max_vars = kTruthTableChartMaxVars);
+  /// Adopts f as packed tables over \p vars (bit i of a minterm is
+  /// vars[i], the layout of tt::TruthTable::words()). Returns false, leaving
+  /// the chart unloaded, when vars has more than kTruthTableChartMaxVars
+  /// entries.
+  bool load(std::vector<int> vars, std::vector<std::uint64_t> on,
+            std::vector<std::uint64_t> dc);
   bool loaded() const { return loaded_; }
 
   /// Column count of the chart with bound set \p bound, stopping once more
@@ -164,18 +184,19 @@ class TruthTableChart {
   /// True iff f's don't-care set is empty.
   bool dc_is_zero() const;
 
-  /// Row signatures of the chart's columns in enumerate_columns' order. The
-  /// rows are all assignments to the free support variables.
-  std::vector<ColumnSignature> column_signatures(const std::vector<int>& bound);
+  /// The chart with bound set \p bound, laid out for class construction.
+  ChartLayout layout(const std::vector<int>& bound);
 
  private:
   /// Swaps the in-support variables of \p bound to the top positions (in
   /// bound order from position n-1 down when \p exact, else in whatever
   /// order needs the fewest swaps); returns how many there are.
   int arrange(const std::vector<int>& bound, bool exact);
-  /// Distinct-block count with the top \p p positions bound; records the
-  /// first block of every column in reps_ when \p record.
-  BoundedCount count_blocks(int p, int max_columns, bool record);
+  /// Distinct-block count with the top \p p positions bound; leaves the
+  /// first block of every column in reps_, and the column of every block in
+  /// \p block_column when that is non-null.
+  BoundedCount count_blocks(int p, int max_columns,
+                            std::vector<int>* block_column);
 
   bool loaded_ = false;
   int num_vars_ = 0;
@@ -183,7 +204,7 @@ class TruthTableChart {
   std::vector<std::uint64_t> dc_;
   std::vector<int> at_;        ///< variable at each table position
   std::vector<int> top_vars_;  ///< scratch: in-support bound variables
-  std::vector<std::int32_t> slots_;  ///< scratch: open-addressed block set
+  std::vector<std::int32_t> slots_;  ///< scratch: open-addressed column set
   std::vector<std::size_t> reps_;    ///< scratch: first block per column
 };
 

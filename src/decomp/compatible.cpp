@@ -1,9 +1,10 @@
 #include "decomp/compatible.hpp"
 
-#include <cmath>
-#include <stdexcept>
+#include <cstdint>
+#include <utility>
 
 #include "graph/matching.hpp"
+#include "tt/truth_table.hpp"
 
 namespace hyde::decomp {
 
@@ -71,6 +72,41 @@ void fill_adjacency_from_bdds(bdd::Manager& mgr,
   }
 }
 
+/// True when the truth-table chart serves \p spec; loads spec.f into
+/// \p chart then. Malformed specs go to the BDD path, which rejects them.
+bool load_chart(TruthTableChart& chart, const DecompSpec& spec) {
+  return spec.mgr != nullptr &&
+         static_cast<int>(spec.bound.size()) <= kMaxBoundVars &&
+         chart.load(*spec.mgr, spec.f);
+}
+
+/// The function of \p words as a table over \p num_vars variables.
+tt::TruthTable table_of(int num_vars, std::vector<std::uint64_t> words) {
+  return tt::TruthTable::from_words(num_vars, std::move(words));
+}
+
+std::vector<std::uint64_t> complement(std::vector<std::uint64_t> words) {
+  for (std::uint64_t& w : words) w = ~w;
+  return words;
+}
+
+/// Column groups of signature-laid-out columns: one per column under
+/// kDistinctColumns, else the clique partition of their compatibility graph.
+std::vector<std::vector<int>> group_columns(
+    const std::vector<ColumnSignature>& columns, DcPolicy policy,
+    ClassStats* stats) {
+  const std::size_t n = columns.size();
+  std::vector<std::vector<int>> groups;
+  if (policy == DcPolicy::kDistinctColumns) {
+    for (std::size_t i = 0; i < n; ++i) groups.push_back({static_cast<int>(i)});
+    return groups;
+  }
+  std::vector<std::vector<char>> adjacent(n, std::vector<char>(n, 0));
+  fill_adjacency_from_signatures(columns, &adjacent);
+  if (stats != nullptr) stats->signature_pairs += n * (n > 0 ? n - 1 : 0) / 2;
+  return graph::clique_partition(static_cast<int>(n), adjacent);
+}
+
 }  // namespace
 
 int ClassResult::code_bits() const {
@@ -96,9 +132,86 @@ IsfBdd merge_columns(bdd::Manager& mgr, const std::vector<Column>& columns,
   return IsfBdd{on, ~care};
 }
 
+ClassResult build_classes(bdd::Manager& mgr, const ChartLayout& layout,
+                          const std::vector<std::vector<int>>& groups) {
+  const int rows = static_cast<int>(layout.row_vars.size());
+  const int p = static_cast<int>(layout.column_vars.size());
+  const std::size_t blocks = layout.block_column.size();
+  ClassResult result;
+  // Columns: pattern and indicator, one from_truth_table call each.
+  std::vector<std::vector<std::uint64_t>> indicators(
+      layout.columns.size(), std::vector<std::uint64_t>((blocks + 63) / 64, 0));
+  for (std::size_t b = 0; b < blocks; ++b) {
+    indicators[static_cast<std::size_t>(layout.block_column[b])][b >> 6] |=
+        std::uint64_t{1} << (b & 63);
+  }
+  result.columns.resize(layout.columns.size());
+  for (std::size_t c = 0; c < layout.columns.size(); ++c) {
+    const ColumnSignature& sig = layout.columns[c];
+    Column& column = result.columns[c];
+    column.pattern.on =
+        mgr.from_truth_table(table_of(rows, sig.on), layout.row_vars);
+    column.pattern.dc = mgr.from_truth_table(
+        table_of(rows, complement(sig.care)), layout.row_vars);
+    column.indicator =
+        mgr.from_truth_table(table_of(p, indicators[c]), layout.column_vars);
+  }
+  // Classes: the members' blocks merged by merge_columns' formula,
+  // care |= on | ~(on | dc), where a signature's care is ~dc. A single
+  // column whose onset misses its dc-set is its own class function.
+  result.classes.reserve(groups.size());
+  for (const std::vector<int>& members : groups) {
+    CompatibleClass cls;
+    cls.columns = members;
+    const auto first = static_cast<std::size_t>(members.front());
+    std::vector<std::uint64_t> on = layout.columns[first].on;
+    std::vector<std::uint64_t> care = layout.columns[first].care;
+    std::vector<std::uint64_t> indicator = indicators[first];
+    bool on_hits_dc = false;
+    for (std::size_t w = 0; w < on.size(); ++w) {
+      on_hits_dc |= (on[w] & ~care[w]) != 0;
+      care[w] |= on[w];
+    }
+    if (members.size() == 1 && !on_hits_dc) {
+      cls.function = result.columns[first].pattern;
+      cls.indicator = result.columns[first].indicator;
+    } else {
+      for (std::size_t k = 1; k < members.size(); ++k) {
+        const auto m = static_cast<std::size_t>(members[k]);
+        const ColumnSignature& sig = layout.columns[m];
+        for (std::size_t w = 0; w < on.size(); ++w) {
+          on[w] |= sig.on[w];
+          care[w] |= sig.on[w] | sig.care[w];
+        }
+        for (std::size_t w = 0; w < indicator.size(); ++w) {
+          indicator[w] |= indicators[m][w];
+        }
+      }
+      cls.function.on =
+          mgr.from_truth_table(table_of(rows, std::move(on)), layout.row_vars);
+      cls.function.dc = mgr.from_truth_table(
+          table_of(rows, complement(std::move(care))), layout.row_vars);
+      cls.indicator = mgr.from_truth_table(table_of(p, std::move(indicator)),
+                                           layout.column_vars);
+    }
+    result.classes.push_back(std::move(cls));
+  }
+  return result;
+}
+
 ClassResult compute_compatible_classes(const DecompSpec& spec, DcPolicy policy,
                                        ClassStats* stats) {
   bdd::Manager& mgr = *spec.mgr;
+  TruthTableChart chart;
+  if (load_chart(chart, spec)) {
+    const ChartLayout layout = chart.layout(spec.bound);
+    // Past kSignatureMaxRows the pairs are BDD tests, as below.
+    if ((std::int64_t{1} << layout.row_vars.size()) <= kSignatureMaxRows) {
+      return build_classes(mgr, layout,
+                           group_columns(layout.columns, policy, stats));
+    }
+  }
+
   ClassResult result;
   // Class construction needs patterns and indicators but never the raw
   // minterm lists — skip the only Θ(2^|bound|) part of chart building.
@@ -153,23 +266,37 @@ ClassResult compute_compatible_classes(const DecompSpec& spec, DcPolicy policy,
 
 int count_compatible_classes(const DecompSpec& spec, DcPolicy policy,
                               ClassStats* stats) {
+  TruthTableChart chart;
+  if (load_chart(chart, spec)) {
+    return count_compatible_classes(chart, spec.bound, policy, stats);
+  }
   if (policy == DcPolicy::kDistinctColumns || spec.f.dc.is_zero()) {
     return count_columns(spec);
   }
   return compute_compatible_classes(spec, policy, stats).num_classes();
 }
 
-int count_compatible_classes(TruthTableChart& chart,
-                             const std::vector<int>& bound, DcPolicy policy) {
+std::vector<std::vector<int>> class_groups(TruthTableChart& chart,
+                                           const std::vector<int>& bound,
+                                           DcPolicy policy,
+                                           ClassStats* stats) {
   if (policy == DcPolicy::kDistinctColumns || chart.dc_is_zero()) {
-    return chart.count_columns(bound, 0).count;
+    // Without don't cares distinct columns are pairwise incompatible, so
+    // the clique partition is every column alone, in column order.
+    std::vector<std::vector<int>> groups(
+        static_cast<std::size_t>(chart.count_columns(bound, 0).count));
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+      groups[i] = {static_cast<int>(i)};
+    }
+    return groups;
   }
-  const std::vector<ColumnSignature> sigs = chart.column_signatures(bound);
-  const std::size_t n = sigs.size();
-  std::vector<std::vector<char>> adjacent(n, std::vector<char>(n, 0));
-  fill_adjacency_from_signatures(sigs, &adjacent);
-  return static_cast<int>(
-      graph::clique_partition(static_cast<int>(n), adjacent).size());
+  return group_columns(chart.layout(bound).columns, policy, stats);
+}
+
+int count_compatible_classes(TruthTableChart& chart,
+                             const std::vector<int>& bound, DcPolicy policy,
+                             ClassStats* stats) {
+  return static_cast<int>(class_groups(chart, bound, policy, stats).size());
 }
 
 }  // namespace hyde::decomp

@@ -58,16 +58,22 @@ struct ClassStats {
   }
 };
 
-/// Computes the compatible classes of the chart of \p spec. Column pairs are
-/// decided by packed row signatures when the row space fits
-/// kSignatureMaxRows, otherwise by per-pair BDD disjointness tests; both
-/// give identical classes. \p stats, when non-null, counts which test
-/// decided the pairs.
+/// Computes the compatible classes of the chart of \p spec. When the support
+/// of spec.f has at most kTruthTableChartMaxVars variables and the row space
+/// fits kSignatureMaxRows, the chart is one TruthTableChart: columns, class
+/// functions and indicators are built from its blocks (build_classes).
+/// Otherwise the chart is enumerated by the BDD-cut method, and column pairs
+/// are decided by packed row signatures when the shared row space of the
+/// patterns fits kSignatureMaxRows, else by per-pair BDD disjointness tests.
+/// Every path gives the same result, BDD for BDD. \p stats, when non-null,
+/// counts which test decided the pairs.
 ClassResult compute_compatible_classes(
     const DecompSpec& spec, DcPolicy policy = DcPolicy::kCliquePartition,
     ClassStats* stats = nullptr);
 
-/// Number of compatible classes only (convenience for cost functions).
+/// Number of compatible classes only (convenience for cost functions); takes
+/// the truth-table path under the same condition as
+/// compute_compatible_classes.
 int count_compatible_classes(const DecompSpec& spec,
                              DcPolicy policy = DcPolicy::kCliquePartition,
                              ClassStats* stats = nullptr);
@@ -78,7 +84,26 @@ int count_compatible_classes(const DecompSpec& spec,
 /// clique partition, so the result is identical.
 int count_compatible_classes(TruthTableChart& chart,
                              const std::vector<int>& bound,
-                             DcPolicy policy = DcPolicy::kCliquePartition);
+                             DcPolicy policy = DcPolicy::kCliquePartition,
+                             ClassStats* stats = nullptr);
+
+/// The member columns of each class of the chart with bound set \p bound on a
+/// loaded TruthTableChart, in ChartLayout's column order: one group per
+/// column under kDistinctColumns or without don't cares (distinct columns of
+/// a completely specified chart are pairwise incompatible), else the clique
+/// partition of the signature compatibility graph, exactly as
+/// compute_compatible_classes groups them. \p stats, when non-null, counts
+/// the pairs decided.
+std::vector<std::vector<int>> class_groups(TruthTableChart& chart,
+                                           const std::vector<int>& bound,
+                                           DcPolicy policy,
+                                           ClassStats* stats = nullptr);
+
+/// The ClassResult of a laid-out chart whose columns are grouped by
+/// \p groups (from class_groups): what compute_compatible_classes returns
+/// for the same chart.
+ClassResult build_classes(bdd::Manager& mgr, const ChartLayout& layout,
+                          const std::vector<std::vector<int>>& groups);
 
 /// True iff two column patterns agree on their common care set.
 bool columns_compatible(bdd::Manager& mgr, const IsfBdd& a, const IsfBdd& b);

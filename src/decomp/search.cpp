@@ -122,10 +122,13 @@ VarPartitionResult BoundSetSearch::select(const IsfBdd& f,
     const DecompSpec spec = make_spec(f, support, bound);
     result.bound = spec.bound;
     result.free = spec.free;
-    result.num_classes =
-        chart_.loaded()
-            ? count_compatible_classes(chart_, spec.bound, options.dc_policy)
-            : count_compatible_classes(spec, options.dc_policy);
+    if (chart_.loaded()) {
+      result.class_groups =
+          class_groups(chart_, spec.bound, options.dc_policy);
+      result.num_classes = static_cast<int>(result.class_groups.size());
+    } else {
+      result.num_classes = count_compatible_classes(spec, options.dc_policy);
+    }
     result.success = !options.require_nontrivial ||
                      result.code_bits() < static_cast<int>(result.bound.size());
     if (result.success || size <= 2) break;
@@ -135,6 +138,47 @@ VarPartitionResult BoundSetSearch::select(const IsfBdd& f,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   return result;
+}
+
+VarPartitionResult BoundSetSearch::evaluate(const IsfBdd& f,
+                                            const std::vector<int>& support,
+                                            const std::vector<int>& bound,
+                                            DcPolicy policy,
+                                            ClassStats* stats) {
+  VarPartitionResult result;
+  result.success = true;
+  result.bound = bound;
+  for (int v : support) {
+    if (std::find(bound.begin(), bound.end(), v) == bound.end()) {
+      result.free.push_back(v);
+    }
+  }
+  if (chart_.load(mgr_, f)) {
+    result.class_groups = class_groups(chart_, bound, policy, stats);
+    result.num_classes = static_cast<int>(result.class_groups.size());
+  } else {
+    DecompSpec spec;
+    spec.mgr = &mgr_;
+    spec.f = f;
+    spec.bound = bound;
+    spec.free = result.free;
+    result.num_classes = count_compatible_classes(spec, policy, stats);
+  }
+  return result;
+}
+
+ClassResult BoundSetSearch::classes(const IsfBdd& f,
+                                    const VarPartitionResult& vp,
+                                    DcPolicy policy, ClassStats* stats) {
+  if (vp.class_groups.empty()) {
+    DecompSpec spec;
+    spec.mgr = &mgr_;
+    spec.f = f;
+    spec.bound = vp.bound;
+    spec.free = vp.free;
+    return compute_compatible_classes(spec, policy, stats);
+  }
+  return build_classes(mgr_, chart_.layout(vp.bound), vp.class_groups);
 }
 
 }  // namespace hyde::decomp

@@ -19,18 +19,24 @@
 ///  3. **Truth-table charts** — when the ISF's support (the union of the
 ///     supports of on and dc) has at most kTruthTableChartMaxVars variables,
 ///     select() converts f to two packed truth tables once and counts every
-///     candidate, and the final compatible-class counts, from them
-///     (TruthTableChart in chart.hpp) instead of building a BDD manager per
-///     candidate chart. The tables give exactly count_columns_bounded's
-///     counts and pruning verdicts and the BDD path's class count, so the
-///     search evaluates and prunes the identical candidates either way.
-///     Wider supports keep the BDD-cut path. SearchStats::candidates_tt
-///     counts the candidates the tables served.
+///     candidate from them (TruthTableChart in chart.hpp) instead of
+///     building a BDD manager per candidate chart. The tables give exactly
+///     count_columns_bounded's counts and pruning verdicts, so the search
+///     evaluates and prunes the identical candidates either way. Wider
+///     supports keep the BDD-cut path. SearchStats::candidates_tt counts the
+///     candidates the tables served.
+///  4. **One chart per step** — on the table path select() also returns
+///     the column groups of its result's classes
+///     (VarPartitionResult::class_groups), and classes() builds the
+///     ClassResult from the same chart: no second enumeration and no second
+///     clique partition. evaluate() gives a caller-chosen bound set (the
+///     encoder's λ' hint) the same treatment.
 ///
 /// Determinism contract: for a fixed (f, support, options) the returned
-/// `VarPartitionResult` is bit-identical to the plain greedy search that
-/// counts every candidate's columns in full, rerun at every size from
-/// bound_size down to 2 when a non-trivial partition is required.
+/// `VarPartitionResult` (class_groups aside) is bit-identical to the plain
+/// greedy search that counts every candidate's columns in full, rerun at
+/// every size from bound_size down to 2 when a non-trivial partition is
+/// required.
 
 #pragma once
 
@@ -69,6 +75,21 @@ class BoundSetSearch {
   VarPartitionResult select(const IsfBdd& f, const std::vector<int>& support,
                             const VarPartitionOptions& options);
 
+  /// The partition of f with the given bound set and the rest of \p support
+  /// free, as select() would report it (success set, class groups on the
+  /// table path), without a search: no SearchStats move. \p stats counts
+  /// the column pairs decided.
+  VarPartitionResult evaluate(const IsfBdd& f, const std::vector<int>& support,
+                              const std::vector<int>& bound, DcPolicy policy,
+                              ClassStats* stats = nullptr);
+
+  /// The compatible classes of \p vp, the result of the latest select() or
+  /// evaluate() for f: built from that call's chart and class groups when it
+  /// has them, else by compute_compatible_classes (which counts its pairs in
+  /// \p stats). The same ClassResult either way.
+  ClassResult classes(const IsfBdd& f, const VarPartitionResult& vp,
+                      DcPolicy policy, ClassStats* stats = nullptr);
+
   const SearchStats& stats() const { return stats_; }
 
  private:
@@ -84,7 +105,8 @@ class BoundSetSearch {
 
   bdd::Manager& mgr_;
   SearchStats stats_;
-  /// f of the current select() as truth tables, when its support fits.
+  /// f of the latest select() or evaluate() as truth tables, when its
+  /// support fits.
   TruthTableChart chart_;
 };
 

@@ -35,6 +35,10 @@ struct VarPartitionResult {
   std::vector<int> bound;
   std::vector<int> free;
   int num_classes = 0;
+  /// Member columns of each class of `bound` (class_groups in
+  /// compatible.hpp) when BoundSetSearch counted them on its truth-table
+  /// chart, empty otherwise; BoundSetSearch::classes builds on them.
+  std::vector<std::vector<int>> class_groups;
   int code_bits() const {
     int bits = 0;
     while ((1 << bits) < num_classes) ++bits;

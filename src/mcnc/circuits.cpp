@@ -161,17 +161,20 @@ Network make_e64() {
   // 65-way priority encoder texture: out_i = x_i & !(x_0 | ... | x_{i-1}).
   Network net("e64");
   std::vector<NodeId> x;
-  for (int i = 0; i < 65; ++i) x.push_back(net.add_input("x" + std::to_string(i)));
+  for (int i = 0; i < 65; ++i) {
+    x.push_back(net.add_input(std::string("x").append(std::to_string(i))));
+  }
   const TruthTable or2 = TruthTable::var(2, 0) | TruthTable::var(2, 1);
   const TruthTable andn2 = TruthTable::var(2, 0) & ~TruthTable::var(2, 1);
   net.add_output("o0", x[0]);
   NodeId prefix = x[0];
   for (int i = 1; i < 65; ++i) {
     const NodeId out =
-        net.add_logic_tt("p" + std::to_string(i), {x[static_cast<std::size_t>(i)], prefix}, andn2);
-    net.add_output("o" + std::to_string(i), out);
+        net.add_logic_tt(std::string("p").append(std::to_string(i)),
+                         {x[static_cast<std::size_t>(i)], prefix}, andn2);
+    net.add_output(std::string("o").append(std::to_string(i)), out);
     if (i < 64) {
-      prefix = net.add_logic_tt("pre" + std::to_string(i),
+      prefix = net.add_logic_tt(std::string("pre").append(std::to_string(i)),
                                 {prefix, x[static_cast<std::size_t>(i)]}, or2);
     }
   }
@@ -184,7 +187,9 @@ Network make_des() {
   // plus XOR combiners for the remaining outputs. 256 PIs / 245 POs.
   Network net("des");
   std::vector<NodeId> x;
-  for (int i = 0; i < 256; ++i) x.push_back(net.add_input("x" + std::to_string(i)));
+  for (int i = 0; i < 256; ++i) {
+    x.push_back(net.add_input(std::string("x").append(std::to_string(i))));
+  }
   std::uint64_t state = 0xDE5DE5DE5ull;
   auto rnd = [&state]() {
     state += 0x9E3779B97F4A7C15ull;

@@ -32,7 +32,7 @@ net::Network seeded_pla(const std::string& name, int num_inputs, int num_outputs
   SplitMix rng{seed};
   std::vector<net::NodeId> pis;
   for (int i = 0; i < num_inputs; ++i) {
-    pis.push_back(net.add_input("x" + std::to_string(i)));
+    pis.push_back(net.add_input(std::string("x").append(std::to_string(i))));
   }
   for (int base = 0; base < num_outputs; base += group_size) {
     // Draw the group's shared support.
@@ -99,7 +99,7 @@ net::Network seeded_pla(const std::string& name, int num_inputs, int num_outputs
         }
         function |= minterm_fn;
       }
-      const std::string out_name = "o" + std::to_string(o);
+      const std::string out_name = std::string("o").append(std::to_string(o));
       net.add_output(out_name,
                      net.add_logic_tt(out_name, support, function));
     }
@@ -114,7 +114,8 @@ net::Network random_multilevel(const std::string& name, int num_inputs,
   SplitMix rng{seed};
   std::vector<net::NodeId> signals;
   for (int i = 0; i < num_inputs; ++i) {
-    signals.push_back(net.add_input("x" + std::to_string(i)));
+    signals.push_back(
+        net.add_input(std::string("x").append(std::to_string(i))));
   }
   for (int n = 0; n < num_nodes; ++n) {
     const int arity = min_arity + static_cast<int>(rng.below(
@@ -155,7 +156,8 @@ net::Network random_multilevel(const std::string& name, int num_inputs,
           real_arity, static_cast<int>(rng.below(
                           static_cast<std::uint64_t>(real_arity))));
     }
-    signals.push_back(net.add_logic_tt("n" + std::to_string(n), fanins, function));
+    signals.push_back(net.add_logic_tt(
+        std::string("n").append(std::to_string(n)), fanins, function));
   }
   for (int o = 0; o < num_outputs; ++o) {
     // Prefer recent nodes as outputs so most of the DAG stays live.
@@ -164,7 +166,7 @@ net::Network random_multilevel(const std::string& name, int num_inputs,
                               static_cast<std::size_t>(2 * num_outputs + 8));
     const net::NodeId driver =
         signals[signals.size() - 1 - static_cast<std::size_t>(rng.below(window))];
-    net.add_output("o" + std::to_string(o), driver);
+    net.add_output(std::string("o").append(std::to_string(o)), driver);
   }
   net.sweep();
   return net;

@@ -117,7 +117,7 @@ PlaModel read_pla(std::istream& in, const std::string& model_name) {
   std::vector<NodeId> on_pis, dc_pis;
   for (int i = 0; i < header.num_inputs; ++i) {
     const std::string name = header.input_names.empty()
-                                 ? "x" + std::to_string(i)
+                                 ? std::string("x").append(std::to_string(i))
                                  : header.input_names[static_cast<std::size_t>(i)];
     on_pis.push_back(model.onset.add_input(name));
     dc_pis.push_back(model.dont_care.add_input(name));
@@ -166,7 +166,7 @@ PlaModel read_pla(std::istream& in, const std::string& model_name) {
 
   for (int o = 0; o < header.num_outputs; ++o) {
     const std::string name = header.output_names.empty()
-                                 ? "y" + std::to_string(o)
+                                 ? std::string("y").append(std::to_string(o))
                                  : header.output_names[static_cast<std::size_t>(o)];
     model.onset.add_output(
         name, model.onset.add_logic(name, on_pis, on_fn[static_cast<std::size_t>(o)]));

@@ -247,7 +247,8 @@ void stitch_resynthesized(const net::Network& host, const StitchPiece& piece,
   for (net::NodeId i : window.inputs) {
     input_by_name.emplace(host.node(i).name, i);
   }
-  const std::string prefix = "w" + std::to_string(window.index);
+  const std::string prefix =
+      std::string("w").append(std::to_string(window.index));
   std::vector<net::NodeId> mapped_to_result(
       static_cast<std::size_t>(mapped.num_nodes()), net::kNoNode);
   for (net::NodeId id : mapped.topo_order()) {

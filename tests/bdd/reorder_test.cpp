@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <random>
 
 #include "tt/truth_table.hpp"
@@ -122,6 +123,59 @@ TEST(Reorder, NeverIncreasesNodeCount) {
     EXPECT_LE(result.final_nodes, result.initial_nodes) << trial;
     EXPECT_EQ(node_count_under_order(mgr, f, result.order), result.final_nodes);
   }
+}
+
+/// The former Manager::from_truth_table: Shannon recursion over the table
+/// variables in ascending manager level, one call per minterm leaf.
+Bdd from_truth_table_by_shannon(Manager& mgr, const TruthTable& table,
+                                const std::vector<int>& var_map) {
+  const int n = table.num_vars();
+  std::vector<int> order(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) order[static_cast<std::size_t>(i)] = i;
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    return mgr.level_of(var_map[static_cast<std::size_t>(a)]) <
+           mgr.level_of(var_map[static_cast<std::size_t>(b)]);
+  });
+  std::function<Bdd(int, std::uint64_t)> rec = [&](int depth,
+                                                   std::uint64_t offset) {
+    if (depth == n) return table.bit(offset) ? mgr.one() : mgr.zero();
+    const int tv = order[static_cast<std::size_t>(depth)];
+    const Bdd lo = rec(depth + 1, offset);
+    const Bdd hi = rec(depth + 1, offset | (std::uint64_t{1} << tv));
+    return mgr.ite(mgr.var(var_map[static_cast<std::size_t>(tv)]), hi, lo);
+  };
+  return rec(0, 0);
+}
+
+TEST(Reorder, FromTruthTableMatchesTheShannonRecursion) {
+  // Random tables of every density (all-0 and all-1 sub-tables included)
+  // under permuted var_maps, in a manager whose order sifting has moved.
+  std::mt19937_64 rng(23);
+  Manager mgr(16);
+  const Bdd anchor = blocked_and_or(mgr, 8);
+  mgr.reorder_sift();
+  std::vector<int> levels(16);
+  for (int v = 0; v < 16; ++v) {
+    levels[static_cast<std::size_t>(v)] = mgr.level_of(v);
+  }
+  std::vector<int> identity = levels;
+  std::sort(identity.begin(), identity.end());
+  ASSERT_NE(levels, identity) << "sifting left the identity order";
+  for (int n = 0; n <= 12; ++n) {
+    for (const int density : {1, 2, 8, 64}) {
+      std::vector<int> var_map(16);
+      for (int v = 0; v < 16; ++v) var_map[static_cast<std::size_t>(v)] = v;
+      std::shuffle(var_map.begin(), var_map.end(), rng);
+      var_map.resize(static_cast<std::size_t>(n));
+      const TruthTable table = TruthTable::from_lambda(
+          n, [&](std::uint64_t) { return rng() % density == 0; });
+      const Bdd got = mgr.from_truth_table(table, var_map);
+      EXPECT_EQ(got.id(), from_truth_table_by_shannon(mgr, table, var_map).id())
+          << "n=" << n << " density 1/" << density;
+      EXPECT_EQ(mgr.to_truth_table(got, var_map), table);
+    }
+  }
+  EXPECT_FALSE(anchor.is_zero());
 }
 
 TEST(Reorder, RejectsForeignHandles) {

@@ -89,8 +89,14 @@ INSTANTIATE_TEST_SUITE_P(
     Random, AssemblyProperty, ::testing::ValuesIn(assembly_cases()),
     [](const ::testing::TestParamInfo<AssemblyCase>& param_info) {
       const auto& c = param_info.param;
-      return "n" + std::to_string(c.count) + "r" + std::to_string(c.rows) +
-             "c" + std::to_string(c.cols) + "s" + std::to_string(c.seed);
+      return std::string("n")
+          .append(std::to_string(c.count))
+          .append("r")
+          .append(std::to_string(c.rows))
+          .append("c")
+          .append(std::to_string(c.cols))
+          .append("s")
+          .append(std::to_string(c.seed));
     });
 
 TEST(AssemblyStep5, MultiCopyUVerticesWhenPscIsPopular) {

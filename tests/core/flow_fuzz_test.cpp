@@ -20,24 +20,27 @@ net::Network random_circuit(std::uint64_t seed) {
   const int shape = static_cast<int>(seed % 3);
   if (shape == 0) {
     // Flat multi-output truth tables (collapse mode).
-    net::Network net("flat" + std::to_string(seed));
+    net::Network net(std::string("flat").append(std::to_string(seed)));
     const int n = 6 + static_cast<int>(rng() % 3);
     std::vector<net::NodeId> pis;
-    for (int i = 0; i < n; ++i) pis.push_back(net.add_input("x" + std::to_string(i)));
+    for (int i = 0; i < n; ++i) {
+      pis.push_back(net.add_input(std::string("x").append(std::to_string(i))));
+    }
     const int outs = 1 + static_cast<int>(rng() % 4);
     for (int o = 0; o < outs; ++o) {
       const auto t = tt::TruthTable::from_lambda(
           n, [&rng](std::uint64_t) { return (rng() % 3) == 0; });
-      net.add_output("f" + std::to_string(o),
-                     net.add_logic_tt("f" + std::to_string(o), pis, t));
+      const std::string name = std::string("f").append(std::to_string(o));
+      net.add_output(name, net.add_logic_tt(name, pis, t));
     }
     return net;
   }
   if (shape == 1) {
-    return mcnc::random_multilevel("ml" + std::to_string(seed), 10, 4, 25, 2,
-                                   6, seed);
+    return mcnc::random_multilevel(
+        std::string("ml").append(std::to_string(seed)), 10, 4, 25, 2, 6, seed);
   }
-  return mcnc::seeded_pla("pla" + std::to_string(seed), 9, 6, 8, 8, 3, seed);
+  return mcnc::seeded_pla(std::string("pla").append(std::to_string(seed)), 9,
+                          6, 8, 8, 3, seed);
 }
 
 struct FuzzCase {
@@ -84,9 +87,12 @@ std::vector<FuzzCase> fuzz_matrix() {
 
 INSTANTIATE_TEST_SUITE_P(Matrix, FlowFuzz, ::testing::ValuesIn(fuzz_matrix()),
                          [](const ::testing::TestParamInfo<FuzzCase>& param_info) {
-                           return "s" + std::to_string(param_info.param.seed) +
-                                  "k" + std::to_string(param_info.param.k) +
-                                  "p" + std::to_string(param_info.param.preset);
+                           return std::string("s")
+                               .append(std::to_string(param_info.param.seed))
+                               .append("k")
+                               .append(std::to_string(param_info.param.k))
+                               .append("p")
+                               .append(std::to_string(param_info.param.preset));
                          });
 
 }  // namespace

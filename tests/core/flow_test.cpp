@@ -31,7 +31,9 @@ void expect_equivalent(const Network& a, const Network& b) {
 Network nine_sym() {
   Network net("9sym");
   std::vector<NodeId> pis;
-  for (int i = 0; i < 9; ++i) pis.push_back(net.add_input("x" + std::to_string(i)));
+  for (int i = 0; i < 9; ++i) {
+    pis.push_back(net.add_input(std::string("x").append(std::to_string(i))));
+  }
   const NodeId f =
       net.add_logic_tt("f", pis, TruthTable::symmetric(9, {3, 4, 5, 6}));
   net.add_output("f", f);
@@ -42,7 +44,9 @@ Network nine_sym() {
 Network three_output_circuit() {
   Network net("mo3");
   std::vector<NodeId> pis;
-  for (int i = 0; i < 6; ++i) pis.push_back(net.add_input("x" + std::to_string(i)));
+  for (int i = 0; i < 6; ++i) {
+    pis.push_back(net.add_input(std::string("x").append(std::to_string(i))));
+  }
   const auto f0 = TruthTable::from_lambda(6, [](std::uint64_t m) {
     return std::popcount(m & 0x3Full) % 2 == 1;
   });
@@ -114,7 +118,9 @@ TEST(Flow, PerNodeModeOnWideCircuit) {
   // support exercise per-node hyper grouping.
   Network input("wide");
   std::vector<NodeId> pis;
-  for (int i = 0; i < 20; ++i) pis.push_back(input.add_input("x" + std::to_string(i)));
+  for (int i = 0; i < 20; ++i) {
+    pis.push_back(input.add_input(std::string("x").append(std::to_string(i))));
+  }
   std::vector<NodeId> first7(pis.begin(), pis.begin() + 7);
   const auto g0 = TruthTable::from_lambda(7, [](std::uint64_t m) {
     return std::popcount(m) % 3 == 0;
@@ -149,18 +155,19 @@ TEST(Flow, PerNodeModeOnWideCircuit) {
 TEST(Flow, RandomCircuitsAllPolicies) {
   std::mt19937_64 rng(2718);
   for (int trial = 0; trial < 6; ++trial) {
-    Network input("rand" + std::to_string(trial));
+    Network input(std::string("rand").append(std::to_string(trial)));
     std::vector<NodeId> pis;
     const int num_pis = 7 + static_cast<int>(rng() % 3);
     for (int i = 0; i < num_pis; ++i) {
-      pis.push_back(input.add_input("x" + std::to_string(i)));
+      pis.push_back(
+          input.add_input(std::string("x").append(std::to_string(i))));
     }
     const int num_outputs = 1 + static_cast<int>(rng() % 3);
     for (int o = 0; o < num_outputs; ++o) {
       const auto table = TruthTable::from_lambda(
           num_pis, [&rng](std::uint64_t) { return (rng() % 3) == 0; });
-      input.add_output("f" + std::to_string(o),
-                       input.add_logic_tt("f" + std::to_string(o), pis, table));
+      const std::string name = std::string("f").append(std::to_string(o));
+      input.add_output(name, input.add_logic_tt(name, pis, table));
     }
     const FlowOptions options =
         (trial % 2 == 0) ? hyde_options(5) : fgsyn_like_options(5);

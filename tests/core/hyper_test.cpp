@@ -122,7 +122,7 @@ TEST(Recovery, ProducesIngredientFunctions) {
   ASSERT_EQ(roots.size(), 4u);
   std::vector<std::string> names;
   for (std::size_t i = 0; i < roots.size(); ++i) {
-    fx.net.add_output("f" + std::to_string(i), roots[i]);
+    fx.net.add_output(std::string("f").append(std::to_string(i)), roots[i]);
   }
   // Drop the original hyper output so the PPI cone can die.
   fx.net.outputs().erase(fx.net.outputs().begin());

@@ -54,7 +54,8 @@ TEST(EndToEnd, MapperPassesPreserveBehaviour) {
   std::mt19937_64 rng(404);
   for (int trial = 0; trial < 6; ++trial) {
     const auto input = mcnc::random_multilevel(
-        "t" + std::to_string(trial), 12, 6, 40, 2, 6, 1000 + trial);
+        std::string("t").append(std::to_string(trial)), 12, 6, 40, 2, 6,
+        1000 + trial);
     auto flow = core::run_flow(input, core::hyde_options(5));
     net::Network& net = flow.network;
     expect_equiv_random(input, net, 64, trial);

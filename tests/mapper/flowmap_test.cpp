@@ -19,7 +19,9 @@ using tt::TruthTable;
 Network wide_and_tree(int leaves) {
   Network net("andtree");
   std::vector<NodeId> pis;
-  for (int i = 0; i < leaves; ++i) pis.push_back(net.add_input("x" + std::to_string(i)));
+  for (int i = 0; i < leaves; ++i) {
+    pis.push_back(net.add_input(std::string("x").append(std::to_string(i))));
+  }
   const TruthTable and_all = TruthTable::from_lambda(
       leaves, [leaves](std::uint64_t m) {
         return m == (std::uint64_t{1} << leaves) - 1;
@@ -34,7 +36,10 @@ TEST(TechDecompose, ProducesTwoBoundedEquivalent) {
     Network input("t");
     std::vector<NodeId> pis;
     const int n = 5 + static_cast<int>(rng() % 3);
-    for (int i = 0; i < n; ++i) pis.push_back(input.add_input("x" + std::to_string(i)));
+    for (int i = 0; i < n; ++i) {
+      pis.push_back(
+          input.add_input(std::string("x").append(std::to_string(i))));
+    }
     const auto table = TruthTable::from_lambda(
         n, [&rng](std::uint64_t) { return (rng() % 3) == 0; });
     input.add_output("f", input.add_logic_tt("f", pis, table));
@@ -76,7 +81,8 @@ TEST(FlowMap, RandomNetworksEquivalentAndFeasible) {
   std::mt19937_64 rng(2);
   for (int trial = 0; trial < 6; ++trial) {
     const auto input = mcnc::random_multilevel(
-        "fm" + std::to_string(trial), 10, 4, 30, 2, 5, 500 + trial);
+        std::string("fm").append(std::to_string(trial)), 10, 4, 30, 2, 5,
+        500 + trial);
     for (int k : {3, 4, 5}) {
       const auto result = flowmap(input, k);
       EXPECT_TRUE(result.network.is_k_feasible(k)) << trial << " k" << k;

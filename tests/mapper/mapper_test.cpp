@@ -64,11 +64,14 @@ TEST(Collapse, MergesChainsIntoOneLut) {
   // A chain of 2-input ANDs over 5 inputs collapses into a single 5-LUT.
   Network net("chain");
   std::vector<NodeId> pis;
-  for (int i = 0; i < 5; ++i) pis.push_back(net.add_input("x" + std::to_string(i)));
+  for (int i = 0; i < 5; ++i) {
+    pis.push_back(net.add_input(std::string("x").append(std::to_string(i))));
+  }
   const TruthTable and2 = TruthTable::var(2, 0) & TruthTable::var(2, 1);
   NodeId acc = pis[0];
   for (int i = 1; i < 5; ++i) {
-    acc = net.add_logic_tt("n" + std::to_string(i), {acc, pis[static_cast<std::size_t>(i)]}, and2);
+    acc = net.add_logic_tt(std::string("n").append(std::to_string(i)),
+                           {acc, pis[static_cast<std::size_t>(i)]}, and2);
   }
   net.add_output("o", acc);
   collapse_into_fanouts(net, 5);
@@ -81,11 +84,14 @@ TEST(Collapse, RespectsKLimit) {
   // 6-input AND chain with k=5 cannot fit in a single node.
   Network net("chain6");
   std::vector<NodeId> pis;
-  for (int i = 0; i < 6; ++i) pis.push_back(net.add_input("x" + std::to_string(i)));
+  for (int i = 0; i < 6; ++i) {
+    pis.push_back(net.add_input(std::string("x").append(std::to_string(i))));
+  }
   const TruthTable and2 = TruthTable::var(2, 0) & TruthTable::var(2, 1);
   NodeId acc = pis[0];
   for (int i = 1; i < 6; ++i) {
-    acc = net.add_logic_tt("n" + std::to_string(i), {acc, pis[static_cast<std::size_t>(i)]}, and2);
+    acc = net.add_logic_tt(std::string("n").append(std::to_string(i)),
+                           {acc, pis[static_cast<std::size_t>(i)]}, and2);
   }
   net.add_output("o", acc);
   collapse_into_fanouts(net, 5);
@@ -166,7 +172,9 @@ TEST(Xc3000, PairsSmallNodes) {
 TEST(Xc3000, FiveInputNodesStandAlone) {
   Network net("p5");
   std::vector<NodeId> pis;
-  for (int i = 0; i < 5; ++i) pis.push_back(net.add_input("x" + std::to_string(i)));
+  for (int i = 0; i < 5; ++i) {
+    pis.push_back(net.add_input(std::string("x").append(std::to_string(i))));
+  }
   const TruthTable f5 = TruthTable::symmetric(5, {2, 3});
   const NodeId u = net.add_logic_tt("u", pis, f5);
   const NodeId v = net.add_logic_tt("v", pis, TruthTable::symmetric(5, {1, 4}));
@@ -180,7 +188,9 @@ TEST(Xc3000, FiveInputNodesStandAlone) {
 TEST(Xc3000, NoPairWhenInputsExceedFive) {
   Network net("p6");
   std::vector<NodeId> pis;
-  for (int i = 0; i < 8; ++i) pis.push_back(net.add_input("x" + std::to_string(i)));
+  for (int i = 0; i < 8; ++i) {
+    pis.push_back(net.add_input(std::string("x").append(std::to_string(i))));
+  }
   const TruthTable and4 = TruthTable::from_lambda(4, [](std::uint64_t m) {
     return m == 15;
   });
@@ -194,7 +204,9 @@ TEST(Xc3000, NoPairWhenInputsExceedFive) {
 TEST(Xc3000, RejectsWideNodes) {
   Network net("w");
   std::vector<NodeId> pis;
-  for (int i = 0; i < 6; ++i) pis.push_back(net.add_input("x" + std::to_string(i)));
+  for (int i = 0; i < 6; ++i) {
+    pis.push_back(net.add_input(std::string("x").append(std::to_string(i))));
+  }
   net.add_output("o", net.add_logic_tt("wide", pis,
                                        TruthTable::symmetric(6, {3})));
   EXPECT_THROW(pack_xc3000(net), std::invalid_argument);

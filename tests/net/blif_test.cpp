@@ -113,7 +113,8 @@ void expect_error_at(Fn fn, int line, const std::string& token) {
     FAIL() << "expected a parse error at line " << line;
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("line " + std::to_string(line)), std::string::npos)
+    EXPECT_NE(what.find(std::string("line ").append(std::to_string(line))),
+              std::string::npos)
         << what;
     EXPECT_NE(what.find("'" + token + "'"), std::string::npos) << what;
   }
@@ -259,9 +260,15 @@ TEST(BlifReader, CombinationalCycleIsATypedError) {
 
 TEST(BlifReader, DeepChainParsesWithoutRecursion) {
   constexpr int kDepth = 200000;
-  std::string text = ".model chain\n.inputs x0\n.outputs x" + std::to_string(kDepth) + "\n";
+  std::string text = std::string(".model chain\n.inputs x0\n.outputs x")
+                         .append(std::to_string(kDepth))
+                         .append("\n");
   for (int i = 1; i <= kDepth; ++i) {
-    text += ".names x" + std::to_string(i - 1) + " x" + std::to_string(i) + "\n1 1\n";
+    text.append(".names x")
+        .append(std::to_string(i - 1))
+        .append(" x")
+        .append(std::to_string(i))
+        .append("\n1 1\n");
   }
   text += ".end\n";
   const Network net = read_blif_string(text);
@@ -293,7 +300,8 @@ TEST(BlifRoundTrip, RandomNetworksSurvive) {
     std::vector<NodeId> pool;
     const int num_pis = 3 + static_cast<int>(rng() % 3);
     for (int i = 0; i < num_pis; ++i) {
-      pool.push_back(net.add_input("pi" + std::to_string(i)));
+      pool.push_back(
+          net.add_input(std::string("pi").append(std::to_string(i))));
     }
     const int num_nodes = 3 + static_cast<int>(rng() % 6);
     for (int i = 0; i < num_nodes; ++i) {
@@ -304,7 +312,8 @@ TEST(BlifRoundTrip, RandomNetworksSurvive) {
       }
       const auto table = tt::TruthTable::from_lambda(
           arity, [&rng](std::uint64_t) { return (rng() & 1) != 0; });
-      pool.push_back(net.add_logic_tt("n" + std::to_string(i), fanins, table));
+      pool.push_back(net.add_logic_tt(
+          std::string("n").append(std::to_string(i)), fanins, table));
     }
     net.add_output("out", pool.back());
     Network reparsed = read_blif_string(write_blif_string(net));

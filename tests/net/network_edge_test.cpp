@@ -27,8 +27,9 @@ TEST(NetworkEdge, SweepIsIdempotent) {
 TEST(NetworkEdge, SweepPreservesBehaviourOnRandomNets) {
   std::mt19937_64 rng(123);
   for (int trial = 0; trial < 6; ++trial) {
-    auto net = mcnc::random_multilevel("s" + std::to_string(trial), 8, 4, 25,
-                                       1, 4, 1000 + trial);
+    auto net = mcnc::random_multilevel(
+        std::string("s").append(std::to_string(trial)), 8, 4, 25, 1, 4,
+        1000 + trial);
     // Record behaviour, sweep, compare.
     std::vector<std::vector<bool>> before;
     std::vector<std::vector<bool>> probes;
@@ -119,7 +120,7 @@ TEST(NetworkEdge, DeepChainTopoOrder) {
   Network net("deep");
   NodeId cur = net.add_input("a");
   for (int i = 0; i < 500; ++i) {
-    cur = net.add_logic_tt("n" + std::to_string(i), {cur},
+    cur = net.add_logic_tt(std::string("n").append(std::to_string(i)), {cur},
                            ~TruthTable::var(1, 0));
   }
   net.add_output("o", cur);

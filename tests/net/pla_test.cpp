@@ -168,13 +168,17 @@ TEST(ExternalDc, FlowExploitsDontCares) {
   // flow must implement the exact indicator.
   Network onset("t");
   std::vector<NodeId> pis;
-  for (int i = 0; i < 8; ++i) pis.push_back(onset.add_input("x" + std::to_string(i)));
+  for (int i = 0; i < 8; ++i) {
+    pis.push_back(onset.add_input(std::string("x").append(std::to_string(i))));
+  }
   const auto indicator = tt::TruthTable::minterm(8, 0xA5);
   onset.add_output("f", onset.add_logic_tt("f", pis, indicator));
 
   Network dc("t_dc");
   std::vector<NodeId> dc_pis;
-  for (int i = 0; i < 8; ++i) dc_pis.push_back(dc.add_input("x" + std::to_string(i)));
+  for (int i = 0; i < 8; ++i) {
+    dc_pis.push_back(dc.add_input(std::string("x").append(std::to_string(i))));
+  }
   // Care only about minterms 0xA5, 0x00, 0xFF, 0x5A.
   const auto care = tt::TruthTable::minterm(8, 0xA5) |
                     tt::TruthTable::minterm(8, 0x00) |

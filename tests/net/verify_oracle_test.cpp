@@ -30,10 +30,11 @@ struct Shape {
 Network random_network(const Shape& shape, const std::vector<int>& pi_order,
                        int flip_gate) {
   std::mt19937_64 rng(shape.seed);
-  Network net("r" + std::to_string(shape.seed));
+  Network net(std::string("r").append(std::to_string(shape.seed)));
   std::vector<NodeId> signal(static_cast<std::size_t>(shape.inputs));
   for (int i : pi_order) {
-    signal[static_cast<std::size_t>(i)] = net.add_input("x" + std::to_string(i));
+    signal[static_cast<std::size_t>(i)] =
+        net.add_input(std::string("x").append(std::to_string(i)));
   }
   for (int g = 0; g < shape.gates; ++g) {
     const int available = static_cast<int>(signal.size());
@@ -48,10 +49,12 @@ Network random_network(const Shape& shape, const std::vector<int>& pi_order,
         arity, [&rng](std::uint64_t) { return (rng() & 1) != 0; });
     const std::uint64_t minterm = rng() % (std::uint64_t{1} << arity);
     if (g == flip_gate) table.set_bit(minterm, !table.bit(minterm));
-    signal.push_back(net.add_logic_tt("g" + std::to_string(g), fanins, table));
+    signal.push_back(net.add_logic_tt(
+        std::string("g").append(std::to_string(g)), fanins, table));
   }
   for (int o = 0; o < shape.outputs; ++o) {
-    net.add_output("o" + std::to_string(o), signal[signal.size() - 1 - static_cast<std::size_t>(o)]);
+    net.add_output(std::string("o").append(std::to_string(o)),
+                   signal[signal.size() - 1 - static_cast<std::size_t>(o)]);
   }
   net.add_output("pi", signal[0]);
   net.add_output("zero", net.add_constant("zero", false));
@@ -66,12 +69,16 @@ Network minterm_network(int n, std::uint64_t target, int width,
                         const std::vector<int>& pi_order, bool hit) {
   Network net("minterm");
   std::vector<NodeId> x(static_cast<std::size_t>(n));
-  for (int i : pi_order) x[static_cast<std::size_t>(i)] = net.add_input("x" + std::to_string(i));
+  for (int i : pi_order) {
+    x[static_cast<std::size_t>(i)] =
+        net.add_input(std::string("x").append(std::to_string(i)));
+  }
   NodeId acc = net.add_constant("one", true);
   for (int i = 0; i < width && hit; ++i) {
     const tt::TruthTable literal = ((target >> i) & 1) != 0 ? tt::TruthTable::var(2, 1)
                                                             : ~tt::TruthTable::var(2, 1);
-    acc = net.add_logic_tt("c" + std::to_string(i), {acc, x[static_cast<std::size_t>(i)]},
+    acc = net.add_logic_tt(std::string("c").append(std::to_string(i)),
+                           {acc, x[static_cast<std::size_t>(i)]},
                            tt::TruthTable::var(2, 0) & literal);
   }
   net.add_output("pi", x[0]);
@@ -122,7 +129,11 @@ TEST(EquivalenceOracle, RandomPathMatchesScalarLoop) {
       options.random_vectors = vectors;
       options.seed = seed;
       const std::string what =
-          "seed " + std::to_string(seed) + ", " + std::to_string(vectors) + " vectors";
+          std::string("seed ")
+              .append(std::to_string(seed))
+              .append(", ")
+              .append(std::to_string(vectors))
+              .append(" vectors");
       const EquivalenceResult flipped = expect_same(a, b, options, what);
       EXPECT_EQ(flipped.method, EquivalenceMethod::kRandomSim);
       (flipped.equivalent ? agreeing : differing) += 1;
@@ -182,7 +193,8 @@ TEST(EquivalenceOracle, VariablesBeyondArityReadAsZero) {
     for (int vectors : {64, 300}) {
       EquivalenceOptions options = simulation_only();
       options.random_vectors = vectors;
-      const std::string what = "seed " + std::to_string(seed);
+      const std::string what =
+          std::string("seed ").append(std::to_string(seed));
       expect_same(a, b, options, what);
       EXPECT_TRUE(expect_same(b, c, options, what + ", b vs c").equivalent);
     }
@@ -200,7 +212,8 @@ TEST(EquivalenceOracle, ExhaustiveFirstFailureIsTheLowestVector) {
       const Network b =
           minterm_network(inputs, target, inputs, shuffled(inputs, 4 + trial), false);
       const EquivalenceResult result =
-          expect_same(a, b, simulation_only(), "target " + std::to_string(target));
+          expect_same(a, b, simulation_only(),
+                      std::string("target ").append(std::to_string(target)));
       EXPECT_EQ(result.method, EquivalenceMethod::kExhaustiveSim);
       EXPECT_EQ(result.failing_output, 1);
       // The counterexample is in a's PI order: position i holds x_order[i].
@@ -226,7 +239,8 @@ TEST(EquivalenceOracle, RandomFirstFailureCanFallLate) {
       EquivalenceOptions options = simulation_only();
       options.random_vectors = vectors;
       options.seed = seed;
-      expect_same(a, b, options, "seed " + std::to_string(seed));
+      expect_same(a, b, options,
+                  std::string("seed ").append(std::to_string(seed)));
     }
     EquivalenceOptions options = simulation_only();
     options.random_vectors = 1100;

@@ -185,7 +185,9 @@ TEST(WindowTest, ExtractionIsDeterministic) {
 TEST(WindowTest, OverBudgetSingletonIsFlagged) {
   net::Network n("wide");
   std::vector<net::NodeId> pis;
-  for (int i = 0; i < 6; ++i) pis.push_back(n.add_input("i" + std::to_string(i)));
+  for (int i = 0; i < 6; ++i) {
+    pis.push_back(n.add_input(std::string("i").append(std::to_string(i))));
+  }
   n.manager().ensure_vars(6);
   bdd::Bdd f = n.manager().one();
   for (int i = 0; i < 6; ++i) f = f & n.manager().var(i);
@@ -261,7 +263,7 @@ TEST(WindowTest, SnapshotRefusesMembersTooWideForATruthTable) {
   net::Network n("toowide");
   std::vector<net::NodeId> pis;
   for (int i = 0; i < width; ++i) {
-    pis.push_back(n.add_input("i" + std::to_string(i)));
+    pis.push_back(n.add_input(std::string("i").append(std::to_string(i))));
   }
   n.manager().ensure_vars(width);
   bdd::Bdd f = n.manager().one();
