@@ -10,7 +10,7 @@
 ///
 /// The classes rows time both chart paths: classes_x13 (classes_x11 in
 /// --quick) fits the truth-table chart, classes_x18 (classes_x17) exceeds
-/// kTruthTableChartMaxVars and takes the BDD-cut chart.
+/// kTruthTableChartMaxVars and takes the cofactor walk.
 ///
 /// Protocol:
 ///
@@ -98,7 +98,6 @@ hyde::decomp::DecompSpec random_spec(Manager& mgr, int num_vars, int bound_vars,
   spec.mgr = &mgr;
   spec.f = IsfBdd{on, dc_raw & ~on};
   for (int v = 0; v < bound_vars; ++v) spec.bound.push_back(v);
-  for (int v = bound_vars; v < num_vars; ++v) spec.free.push_back(v);
   return spec;
 }
 
@@ -166,8 +165,8 @@ WorkloadResult bench_encode(int num_vars, int bound_vars, int functions,
       hyde::core::EncoderOptions enc;
       enc.k = 4;  // small κ forces the non-trivial Steps 3-8 to run
       enc.seed = static_cast<std::uint64_t>(i) + 1;
-      const auto choice = hyde::core::encode_classes(mgr, classes, spec.free,
-                                                     alpha_vars, enc);
+      const auto choice =
+          hyde::core::encode_classes(mgr, classes, alpha_vars, enc);
       checksum = fnv1a(checksum, static_cast<std::uint64_t>(choice.encoding.num_bits));
       for (std::uint32_t code : choice.encoding.codes) {
         checksum = fnv1a(checksum, code);
@@ -241,7 +240,7 @@ int main(int argc, char** argv) {
   const int classes_bound = quick ? 7 : 9;
   const int classes_functions = quick ? 1 : 2;
   const int classes_rounds = quick ? 1 : 2;
-  // Past kTruthTableChartMaxVars the classes come from the BDD-cut chart;
+  // Past kTruthTableChartMaxVars the classes come from the cofactor walk;
   // this row keeps that path timed.
   const int wide_vars = quick ? 17 : 18;
   const int wide_bound = quick ? 9 : 10;

@@ -51,7 +51,7 @@ void figure_1_and_2() {
   spec.mgr = &mgr;
   spec.f = IsfBdd{f, mgr.zero()};
   spec.bound = {0, 1, 2};
-  spec.free = {3, 4, 5};
+  const std::vector<int> free_vars{3, 4, 5};
   const auto classes = decomp::compute_compatible_classes(spec);
   std::printf("  compatible classes with lambda={a,b,c}: %d (paper: 3)\n",
               classes.num_classes());
@@ -67,13 +67,12 @@ void figure_1_and_2() {
     decomp::Encoding enc;
     enc.num_bits = 2;
     enc.codes = {codes[0], codes[1], codes[2]};
-    const auto step = decomp::build_step(mgr, classes, spec.bound, spec.free,
+    const auto step = decomp::build_step(mgr, classes, spec.bound, free_vars,
                                          enc, alpha_vars);
     decomp::DecompSpec next;
     next.mgr = &mgr;
     next.f = step.image;
-    next.bound = {8, 3, 4};  // {alpha0, x, y}
-    next.free = {9, 5};      // {alpha1, z}
+    next.bound = {8, 3, 4};  // {alpha0, x, y}; free: {alpha1, z}
     const int count = decomp::count_compatible_classes(next);
     best = std::min(best, count);
     worst = std::max(worst, count);
@@ -83,8 +82,7 @@ void figure_1_and_2() {
 
   core::EncoderOptions options;
   options.k = 4;
-  const auto choice =
-      core::encode_classes(mgr, classes, spec.free, alpha_vars, options);
+  const auto choice = core::encode_classes(mgr, classes, alpha_vars, options);
   if (choice.trace.chosen_image_classes >= 0) {
     std::printf("  the Figure-3 encoder achieves %d classes (random draw: %d)\n\n",
                 choice.trace.used_random ? choice.trace.random_image_classes

@@ -9,7 +9,7 @@
 
 #include "core/encoder.hpp"
 #include "decomp/compatible.hpp"
-#include "decomp/varpart.hpp"
+#include "decomp/search.hpp"
 #include "graph/matching.hpp"
 #include "mapper/lutmap.hpp"
 #include "mapper/xc3000.hpp"
@@ -75,9 +75,7 @@ void BM_EnumerateColumns(benchmark::State& state) {
   decomp::DecompSpec spec;
   spec.mgr = &mgr;
   spec.f = decomp::IsfBdd{f, mgr.zero()};
-  for (int v = 0; v < 12; ++v) {
-    (v < bound ? spec.bound : spec.free).push_back(v);
-  }
+  for (int v = 0; v < bound; ++v) spec.bound.push_back(v);
   for (auto _ : state) {
     benchmark::DoNotOptimize(decomp::enumerate_columns(spec));
   }
@@ -93,7 +91,6 @@ void BM_CompatibleClassesIsf(benchmark::State& state) {
   spec.mgr = &mgr;
   spec.f = decomp::IsfBdd{on & ~dc_raw, dc_raw & ~on};
   spec.bound = {0, 1, 2, 3, 4};
-  spec.free = {5, 6, 7, 8, 9};
   for (auto _ : state) {
     benchmark::DoNotOptimize(decomp::compute_compatible_classes(spec));
   }
@@ -108,9 +105,9 @@ void BM_VariablePartitioning(benchmark::State& state) {
   options.bound_size = 5;
   options.require_nontrivial = false;
   for (auto _ : state) {
+    decomp::BoundSetSearch search(mgr);
     benchmark::DoNotOptimize(
-        decomp::select_bound_set(mgr, decomp::IsfBdd{f, mgr.zero()}, support,
-                                 options));
+        search.select(decomp::IsfBdd{f, mgr.zero()}, support, options));
   }
 }
 BENCHMARK(BM_VariablePartitioning);

@@ -17,7 +17,7 @@
 /// Checksums are FNV-1a mixes of the selected bound sets, compatible-class
 /// counts and the mapped networks' BLIF text. The full run's
 /// greedy_research_x16 / _x17 rows sit on either side of
-/// kTruthTableChartMaxVars (truth-table path vs BDD-cut path), and its
+/// kTruthTableChartMaxVars (truth-table path vs cofactor walk), and its
 /// `per_candidate_us` section times one candidate count on each path at
 /// 12/14/16/17 variables — the evidence behind the constant.
 
@@ -143,14 +143,14 @@ WorkloadResult bench_greedy_research(int num_vars, int functions, int rounds) {
 struct CandidateCost {
   const char* shape = "";
   int num_vars = 0;
-  double cut_us = 0.0;
+  double walk_us = 0.0;
   double table_us = 0.0;
   double table_load_us = 0.0;
 };
 
 /// Per-candidate cost of the two chart paths at \p num_vars variables: the
 /// mean time of one unbounded column count over random 4-variable bound sets,
-/// by the BDD-cut path (count_columns_bounded) and by the truth-table chart
+/// by the cofactor walk (count_columns_bounded) and by the truth-table chart
 /// (loaded past its search limit so 17 variables can be measured; the
 /// one-off load per select is reported separately). Two shapes bracket the
 /// BDD size: a random function (BDD of about 2^n/n nodes) and an OR of
@@ -182,16 +182,16 @@ bool bench_candidate_cost(int num_vars, bool random, CandidateCost* cost) {
     std::sort(bound.begin(), bound.end());
     bounds.push_back(bound);
   }
-  std::vector<int> cut_counts;
+  std::vector<int> walk_counts;
   auto start = std::chrono::steady_clock::now();
   for (const std::vector<int>& bound : bounds) {
     hyde::decomp::DecompSpec spec;
     spec.mgr = &mgr;
     spec.f = f;
     spec.bound = bound;
-    cut_counts.push_back(hyde::decomp::count_columns_bounded(spec, 0).count);
+    walk_counts.push_back(hyde::decomp::count_columns_bounded(spec, 0).count);
   }
-  cost->cut_us =
+  cost->walk_us =
       seconds_since(start) * 1e6 / static_cast<double>(bounds.size());
 
   hyde::decomp::TruthTableChart chart;
@@ -201,7 +201,7 @@ bool bench_candidate_cost(int num_vars, bool random, CandidateCost* cost) {
   bool agree = true;
   start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < bounds.size(); ++i) {
-    agree &= chart.count_columns(bounds[i], 0).count == cut_counts[i];
+    agree &= chart.count_columns(bounds[i], 0).count == walk_counts[i];
   }
   cost->table_us =
       seconds_since(start) * 1e6 / static_cast<double>(bounds.size());
@@ -332,9 +332,9 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < costs.size(); ++i) {
       char buf[160];
       std::snprintf(buf, sizeof(buf),
-                    "    {\"shape\": \"%s\", \"vars\": %d, \"cut\": %.2f, "
+                    "    {\"shape\": \"%s\", \"vars\": %d, \"walk\": %.2f, "
                     "\"table\": %.2f, \"table_load\": %.2f}%s\n",
-                    costs[i].shape, costs[i].num_vars, costs[i].cut_us,
+                    costs[i].shape, costs[i].num_vars, costs[i].walk_us,
                     costs[i].table_us,
                     costs[i].table_load_us,
                     i + 1 == costs.size() ? "" : ",");

@@ -1,7 +1,7 @@
 /// \file transfer.hpp
 /// \brief Moving BDDs between managers (with variable renaming or arbitrary
 /// substitution). Used by the network layer to build global functions and by
-/// the decomposition engine's cut-based class counting.
+/// the windowed engine to move node functions into and out of windows.
 
 #pragma once
 

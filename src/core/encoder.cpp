@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <stdexcept>
 
@@ -60,7 +61,6 @@ void place_block(std::vector<std::uint64_t>* table,
 int image_class_cost(bdd::Manager& mgr, const std::vector<IsfBdd>& functions,
                      const Encoding& encoding, const std::vector<int>& alpha_vars,
                      const std::vector<int>& lambda,
-                     const std::vector<int>& all_vars,
                      decomp::DcPolicy dc_policy,
                      decomp::ClassStats* class_stats) {
   std::set<int> input_set;
@@ -99,16 +99,11 @@ int image_class_cost(bdd::Manager& mgr, const std::vector<IsfBdd>& functions,
     return decomp::count_compatible_classes(chart, lambda, dc_policy,
                                             class_stats);
   }
-  decomp::DecompSpec spec;
-  spec.mgr = &mgr;
-  spec.f = decomp::build_image(mgr, functions, encoding, alpha_vars);
-  spec.bound = lambda;
-  for (int v : all_vars) {
-    if (std::find(lambda.begin(), lambda.end(), v) == lambda.end()) {
-      spec.free.push_back(v);
-    }
-  }
-  return decomp::count_compatible_classes(spec, dc_policy, class_stats);
+  return decomp::count_compatible_classes(
+      decomp::DecompSpec{
+          &mgr, decomp::build_image(mgr, functions, encoding, alpha_vars),
+          lambda},
+      dc_policy, class_stats);
 }
 
 }  // namespace
@@ -531,18 +526,16 @@ decomp::Encoding encode_cube_min(bdd::Manager& mgr,
 
 EncodingChoice encode_classes(bdd::Manager& mgr,
                               const decomp::ClassResult& classes,
-                              const std::vector<int>& free_vars,
                               const std::vector<int>& alpha_vars,
                               const EncoderOptions& options) {
   std::vector<IsfBdd> functions;
   functions.reserve(classes.classes.size());
   for (const auto& cls : classes.classes) functions.push_back(cls.function);
-  return encode_functions(mgr, functions, free_vars, alpha_vars, options);
+  return encode_functions(mgr, functions, alpha_vars, options);
 }
 
 EncodingChoice encode_functions(bdd::Manager& mgr,
                                 const std::vector<IsfBdd>& functions,
-                                const std::vector<int>& input_vars,
                                 const std::vector<int>& alpha_vars,
                                 const EncoderOptions& options) {
   const int n = static_cast<int>(functions.size());
@@ -579,10 +572,10 @@ EncodingChoice encode_functions(bdd::Manager& mgr,
   vp_options.bound_size = std::min(options.k, static_cast<int>(support.size()) - 1);
   vp_options.require_nontrivial = false;
   vp_options.dc_policy = options.dc_policy;
-  const auto vp = options.search != nullptr
-                      ? options.search->select(g_trial, support, vp_options)
-                      : decomp::select_bound_set(mgr, g_trial, support,
-                                                 vp_options);
+  std::optional<decomp::BoundSetSearch> local;
+  decomp::BoundSetSearch& search =
+      options.search != nullptr ? *options.search : local.emplace(mgr);
+  const auto vp = search.select(g_trial, support, vp_options);
   if (!vp.success) {
     choice.trace.trivially_feasible = true;  // nothing sensible to do
     return choice;
@@ -665,15 +658,13 @@ EncodingChoice encode_functions(bdd::Manager& mgr,
   }
 
   // Step 8: keep whichever encoding yields fewer image classes.
-  std::vector<int> all_vars = input_vars;
-  all_vars.insert(all_vars.end(), alpha_vars.begin(), alpha_vars.end());
   // The random encoding's image is g' and λ' its bound set, so Step 3
   // already counted its classes.
   trace.random_image_classes = vp.num_classes;
   if (assembled) {
     trace.chosen_image_classes =
         image_class_cost(mgr, functions, structured, alpha_vars, vp.bound,
-                         all_vars, options.dc_policy, options.class_stats);
+                         options.dc_policy, options.class_stats);
   }
   if (!assembled ||
       trace.random_image_classes < trace.chosen_image_classes) {

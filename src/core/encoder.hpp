@@ -45,9 +45,9 @@ struct EncoderOptions {
   std::uint64_t seed = 1;   ///< seed for the Step-1 random encoding
   decomp::DcPolicy dc_policy = decomp::DcPolicy::kCliquePartition;
   /// Optional bound-set search engine for Step 3 (must be bound to the same
-  /// manager the encoder runs in). Null falls back to the one-shot
-  /// select_bound_set; either way the selected λ' is identical — the engine
-  /// only adds this search to the flow's search counters.
+  /// manager the encoder runs in). Null runs a local engine; either way the
+  /// selected λ' is identical — the caller's engine only adds this search to
+  /// the flow's search counters.
   // hyde-knob-ok: engine handle wired by the flow, not a setting.
   decomp::BoundSetSearch* search = nullptr;
   /// Optional counter sink for the Step-8 image-class computations.
@@ -92,19 +92,16 @@ struct EncodingChoice {
 };
 
 /// Runs the full Figure-3 procedure over arbitrary class/ingredient
-/// functions. \p input_vars is the variable universe of the functions (the
-/// original free set Y); \p alpha_vars supplies the code-bit variables
-/// (α's or pseudo primary inputs).
+/// functions (over the original free set Y); \p alpha_vars supplies the
+/// code-bit variables (α's or pseudo primary inputs).
 EncodingChoice encode_functions(bdd::Manager& mgr,
                                 const std::vector<decomp::IsfBdd>& functions,
-                                const std::vector<int>& input_vars,
                                 const std::vector<int>& alpha_vars,
                                 const EncoderOptions& options);
 
 /// Convenience wrapper for a ClassResult from compute_compatible_classes.
 EncodingChoice encode_classes(bdd::Manager& mgr,
                               const decomp::ClassResult& classes,
-                              const std::vector<int>& free_vars,
                               const std::vector<int>& alpha_vars,
                               const EncoderOptions& options);
 

@@ -188,7 +188,7 @@ class Decomposer {
       enc_options.search = &search_;
       enc_options.class_stats = &class_stats_;
       EncodingChoice choice =
-          encode_classes(gm_, classes, vp.free, alpha_vars, enc_options);
+          encode_classes(gm_, classes, alpha_vars, enc_options);
       encoding = choice.encoding;
       lambda_hint = choice.lambda_hint;
       if (choice.trace.used_random) ++stats_.encoder_random_kept;

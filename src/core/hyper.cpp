@@ -35,7 +35,7 @@ HyperFunction build_hyper_function(bdd::Manager& mgr,
   hyper.input_vars = input_vars;
   if (use_encoder) {
     EncodingChoice choice =
-        encode_functions(mgr, ingredients, input_vars, ppi_vars, options);
+        encode_functions(mgr, ingredients, ppi_vars, options);
     hyper.codes = choice.encoding;
     hyper.trace = choice.trace;
   } else {

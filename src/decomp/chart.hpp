@@ -1,19 +1,16 @@
 /// \file chart.hpp
 /// \brief Decomposition-chart enumeration (Roth–Karp / Ashenhurst substrate).
 ///
-/// Given an incompletely specified function f over a manager's variables, a
-/// bound (λ) set X and a free (μ) set Y, the *decomposition chart* has one
-/// column per assignment to X; a column's *pattern* is the residual function
-/// f(x, ·) of the free variables. This module enumerates the distinct
-/// patterns (as ISF pairs of BDDs) together with, per pattern, the set of
-/// bound-set minterms mapping to it and its indicator function over X.
+/// Given an incompletely specified function f over a manager's variables and
+/// a bound (λ) set X, the *decomposition chart* has one column per
+/// assignment to X; a column's *pattern* is the residual function f(x, ·) of
+/// the remaining (free, μ) variables. This module enumerates the distinct
+/// patterns (as ISF pairs of BDDs) together with, per pattern, its indicator
+/// function over X.
 ///
-/// Enumeration uses the BDD-cut method of Jiang et al. [2]: f is transferred
-/// into a manager ordering the bound set on top, and the distinct (on, dc)
-/// node pairs hanging below the cut — one per column — are discovered in a
-/// single lock-step traversal costing O(nodes above the cut) instead of
-/// 2^|X| cofactor pairs. Column indicators fall out of the same pair graph
-/// by propagating bound-literal cubes top-down.
+/// Enumeration is a depth-first cofactor walk over X in f's own manager:
+/// 2^|X| cofactor pairs, cheap for bound sets capped by the LUT size, with
+/// an early exit for bounded counts.
 ///
 /// Functions with at most kTruthTableChartMaxVars support variables have a
 /// second path: TruthTableChart holds f as two packed truth tables, where a
@@ -21,8 +18,9 @@
 /// is swapped to the top positions. It counts columns for the bound-set
 /// search and lays a chart out for class construction (class functions and
 /// indicators come from the blocks by one BDD build each), with exactly the
-/// results of the cut path (see TruthTableChart for the contract). The cut
-/// path stays the only one for wider supports and is its test oracle.
+/// results of the cofactor walk (see TruthTableChart for the contract). The
+/// walk stays the only path for wider supports; loaded with a larger
+/// `max_vars`, the table chart is its test reference.
 
 #pragma once
 
@@ -43,27 +41,23 @@ struct IsfBdd {
   bdd::Bdd off() const { return ~(on | dc); }
 };
 
-/// A decomposition problem instance: which function, which variable split.
+/// A decomposition problem instance: which function, which bound set. Every
+/// other variable of f is free (a chart row variable).
 struct DecompSpec {
   bdd::Manager* mgr = nullptr;
   IsfBdd f;
   std::vector<int> bound;  ///< λ-set variable indices (chart columns)
-  std::vector<int> free;   ///< μ-set variable indices (chart rows)
-  /// When false, enumerate_columns skips materializing per-column minterm
-  /// lists (the only part of chart construction that is inherently
-  /// Θ(2^|bound|)); patterns and indicators are still produced.
-  bool include_minterms = true;
 };
 
 /// One distinct chart column pattern.
 struct Column {
   IsfBdd pattern;   ///< residual function of the free variables
   bdd::Bdd indicator;  ///< function of the bound variables: 1 on this column's minterms
-  std::vector<std::uint64_t> minterms;  ///< bound minterms (bit i = bound[i])
 };
 
-/// Hard cap on the bound-set size: minterm lists index assignments to the
-/// bound set, so charts keep an exhaustively enumerable bound region.
+/// Hard cap on the bound-set size: the cofactor walk visits every
+/// assignment to the bound set, so charts keep an exhaustively enumerable
+/// bound region.
 inline constexpr int kMaxBoundVars = 16;
 
 /// Packed row-space signature of a chart column. Bit m (bit m%64 of word
@@ -92,42 +86,41 @@ inline constexpr int kSignatureMaxRows = 4096;
 std::vector<ColumnSignature> column_signatures(
     const DecompSpec& spec, const std::vector<Column>& columns);
 
-/// Enumerates the distinct column patterns of the chart. Deterministic:
-/// columns are ordered by their smallest bound minterm.
-/// Throws std::invalid_argument if |bound| exceeds kMaxBoundVars.
+/// Enumerates the distinct column patterns of the chart and their
+/// indicators. Deterministic: columns are in first-occurrence order of the
+/// assignments walked with bound[0] as the most significant bit (low before
+/// high). Bound variables outside f's support double every column's
+/// assignments and change no pattern.
+/// Throws std::invalid_argument if |bound| exceeds kMaxBoundVars or the
+/// manager is null (as do the two counts below).
 std::vector<Column> enumerate_columns(const DecompSpec& spec);
 
-/// Number of distinct column patterns, without materializing indicators,
-/// by the BDD-cut method of Jiang et al. [2]: f is transferred into a
-/// manager whose variable order puts the bound set on top and the distinct
-/// sub-functions hanging below the cut are counted, at O(|BDD|) instead of
-/// O(2^|bound|). ISFs count distinct (on, dc) pattern pairs, so this is
-/// exactly the compatible-class count for completely specified functions
-/// and an upper bound for ISFs.
-/// Throws std::invalid_argument if |bound| exceeds kMaxBoundVars.
+/// Number of distinct column patterns, without building indicators. ISFs
+/// count distinct (on, dc) pattern pairs, so this is exactly the
+/// compatible-class count for completely specified functions and an upper
+/// bound for ISFs.
 int count_columns(const DecompSpec& spec);
 
-/// Outcome of a bounded column count. When `pruned` is set the cut traversal
-/// was abandoned early and `count` is a *lower bound* on the true column
-/// count (columns are only ever discovered, never retracted, as the
-/// traversal proceeds); otherwise `count` is exact.
+/// Outcome of a bounded column count. When `pruned` is set the walk was
+/// abandoned early and `count` is a *lower bound* on the true column count
+/// (columns are only ever discovered, never retracted, as the walk
+/// proceeds); otherwise `count` is exact.
 struct BoundedCount {
   int count = 0;
   bool pruned = false;
 };
 
-/// count_columns with an early-exit threshold: the pair-graph traversal
-/// stops as soon as more than \p max_columns distinct columns have been
-/// discovered, so candidate bound sets that are already worse than an
-/// incumbent cost the search engine only a prefix of the full enumeration.
-/// max_columns <= 0 means unlimited. Unlike count_columns this places no
-/// limit on the bound-set size.
+/// count_columns with an early-exit threshold: the walk stops as soon as
+/// more than \p max_columns distinct columns have been discovered (then
+/// count == max_columns + 1), so candidate bound sets that are already worse
+/// than an incumbent cost the search engine only a prefix of the full
+/// enumeration. max_columns <= 0 means unlimited.
 BoundedCount count_columns_bounded(const DecompSpec& spec, int max_columns);
 
 /// Support limit of the truth-table chart path: at 16 variables a table is
 /// 1024 words, so one candidate costs a few variable swaps and one pass of
 /// block hashing. Wider supports (for example 16 primary plus 2 pseudo
-/// primary inputs in a hyper-function) keep the BDD-cut path.
+/// primary inputs in a hyper-function) take the cofactor walk.
 inline constexpr int kTruthTableChartMaxVars = 16;
 
 /// A chart of TruthTableChart laid out for class construction: its columns
@@ -158,15 +151,15 @@ struct ChartLayout {
 ///  - layout(bound) lists the columns in enumerate_columns' order (first
 ///    occurrence with bound[0] as the most significant assignment bit), so
 ///    the compatible classes derived from it (compatible.hpp) are those of
-///    the BDD path, BDD for BDD.
+///    the cofactor walk, BDD for BDD.
 ///
 /// Holds scratch buffers and no shared state: one chart per search engine.
 class TruthTableChart {
  public:
   /// Converts f to tables over the union of the supports of f.on and f.dc.
   /// Returns false, leaving the chart unloaded, when that support exceeds
-  /// \p max_vars (the search engine always passes the default; benches pass
-  /// a larger limit to measure past it).
+  /// \p max_vars (the search engine always passes the default; tests and
+  /// benches pass a larger limit to check or measure past it).
   bool load(bdd::Manager& mgr, const IsfBdd& f,
             int max_vars = kTruthTableChartMaxVars);
   /// Adopts f as packed tables over \p vars (bit i of a minterm is

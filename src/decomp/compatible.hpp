@@ -62,7 +62,7 @@ struct ClassStats {
 /// of spec.f has at most kTruthTableChartMaxVars variables and the row space
 /// fits kSignatureMaxRows, the chart is one TruthTableChart: columns, class
 /// functions and indicators are built from its blocks (build_classes).
-/// Otherwise the chart is enumerated by the BDD-cut method, and column pairs
+/// Otherwise the chart is enumerated by the cofactor walk, and column pairs
 /// are decided by packed row signatures when the shared row space of the
 /// patterns fits kSignatureMaxRows, else by per-pair BDD disjointness tests.
 /// Every path gives the same result, BDD for BDD. \p stats, when non-null,

@@ -10,7 +10,7 @@ namespace hyde::decomp {
 namespace {
 
 /// Strict-weak order of the greedy selection: smaller column count first,
-/// then the smaller variable index. Matches the legacy select_bound_set
+/// then the smaller variable index. Matches the plain greedy search's
 /// update rule, so the reduction is independent of evaluation order.
 // hyde-hot
 bool better_candidate(int cost, int var, int best_cost, int best_var) {
@@ -19,25 +19,21 @@ bool better_candidate(int cost, int var, int best_cost, int best_var) {
   return var < best_var;
 }
 
-}  // namespace
-
-DecompSpec BoundSetSearch::make_spec(const IsfBdd& f,
-                                     const std::vector<int>& support,
-                                     const std::vector<int>& bound) const {
-  DecompSpec spec;
-  spec.mgr = &mgr_;
-  spec.f = f;
-  spec.bound = bound;
+/// The variables of \p support outside \p bound, in support order.
+std::vector<int> free_vars(const std::vector<int>& support,
+                           const std::vector<int>& bound) {
+  std::vector<int> free;
   for (int v : support) {
-    if (!std::binary_search(bound.begin(), bound.end(), v)) {
-      spec.free.push_back(v);
+    if (std::find(bound.begin(), bound.end(), v) == bound.end()) {
+      free.push_back(v);
     }
   }
-  return spec;
+  return free;
 }
 
-int BoundSetSearch::grow_step(const IsfBdd& f, const std::vector<int>& support,
-                              const std::vector<int>& bound,
+}  // namespace
+
+int BoundSetSearch::grow_step(const IsfBdd& f, const std::vector<int>& bound,
                               const std::vector<int>& pool) {
   // One sweep with a running incumbent: a candidate whose partial count
   // exceeds the best exact count seen so far cannot win (its cost strictly
@@ -57,7 +53,7 @@ int BoundSetSearch::grow_step(const IsfBdd& f, const std::vector<int>& support,
       ++stats_.candidates_tt;
       bc = chart_.count_columns(trial, threshold);
     } else {
-      bc = count_columns_bounded(make_spec(f, support, trial), threshold);
+      bc = count_columns_bounded(DecompSpec{&mgr_, f, trial}, threshold);
     }
     if (bc.pruned) {
       ++stats_.candidates_pruned;
@@ -85,11 +81,11 @@ VarPartitionResult BoundSetSearch::select(const IsfBdd& f,
     return result;  // no valid partition
   }
   if (options.bound_size > kMaxBoundVars) {
-    throw std::invalid_argument("select_bound_set: bound size too large");
+    throw std::invalid_argument("BoundSetSearch::select: bound size too large");
   }
 
   // One conversion serves every candidate of this select and its final
-  // class counts; wider supports leave the chart unloaded (BDD-cut path).
+  // class counts; wider supports leave the chart unloaded (cofactor walk).
   chart_.load(mgr_, f);
 
   std::vector<int> preferred, avoided;
@@ -109,7 +105,7 @@ VarPartitionResult BoundSetSearch::select(const IsfBdd& f,
   while (static_cast<int>(picked.size()) < options.bound_size) {
     std::vector<int>& pool = !preferred.empty() ? preferred : avoided;
     if (pool.empty()) break;
-    const int best_var = grow_step(f, support, picked, pool);
+    const int best_var = grow_step(f, picked, pool);
     picked.push_back(best_var);
     pool.erase(std::find(pool.begin(), pool.end(), best_var));
   }
@@ -117,17 +113,16 @@ VarPartitionResult BoundSetSearch::select(const IsfBdd& f,
   // The greedy set of each smaller size is a prefix of the picks, so a
   // trivial partition walks down the prefixes to 2 instead of regrowing.
   for (int size = static_cast<int>(picked.size());; --size) {
-    std::vector<int> bound(picked.begin(), picked.begin() + size);
-    std::sort(bound.begin(), bound.end());
-    const DecompSpec spec = make_spec(f, support, bound);
-    result.bound = spec.bound;
-    result.free = spec.free;
+    result.bound.assign(picked.begin(), picked.begin() + size);
+    std::sort(result.bound.begin(), result.bound.end());
+    result.free = free_vars(support, result.bound);
     if (chart_.loaded()) {
       result.class_groups =
-          class_groups(chart_, spec.bound, options.dc_policy);
+          class_groups(chart_, result.bound, options.dc_policy);
       result.num_classes = static_cast<int>(result.class_groups.size());
     } else {
-      result.num_classes = count_compatible_classes(spec, options.dc_policy);
+      result.num_classes = count_compatible_classes(
+          DecompSpec{&mgr_, f, result.bound}, options.dc_policy);
     }
     result.success = !options.require_nontrivial ||
                      result.code_bits() < static_cast<int>(result.bound.size());
@@ -148,21 +143,13 @@ VarPartitionResult BoundSetSearch::evaluate(const IsfBdd& f,
   VarPartitionResult result;
   result.success = true;
   result.bound = bound;
-  for (int v : support) {
-    if (std::find(bound.begin(), bound.end(), v) == bound.end()) {
-      result.free.push_back(v);
-    }
-  }
+  result.free = free_vars(support, bound);
   if (chart_.load(mgr_, f)) {
     result.class_groups = class_groups(chart_, bound, policy, stats);
     result.num_classes = static_cast<int>(result.class_groups.size());
   } else {
-    DecompSpec spec;
-    spec.mgr = &mgr_;
-    spec.f = f;
-    spec.bound = bound;
-    spec.free = result.free;
-    result.num_classes = count_compatible_classes(spec, policy, stats);
+    result.num_classes =
+        count_compatible_classes(DecompSpec{&mgr_, f, bound}, policy, stats);
   }
   return result;
 }
@@ -171,12 +158,8 @@ ClassResult BoundSetSearch::classes(const IsfBdd& f,
                                     const VarPartitionResult& vp,
                                     DcPolicy policy, ClassStats* stats) {
   if (vp.class_groups.empty()) {
-    DecompSpec spec;
-    spec.mgr = &mgr_;
-    spec.f = f;
-    spec.bound = vp.bound;
-    spec.free = vp.free;
-    return compute_compatible_classes(spec, policy, stats);
+    return compute_compatible_classes(DecompSpec{&mgr_, f, vp.bound}, policy,
+                                      stats);
   }
   return build_classes(mgr_, chart_.layout(vp.bound), vp.class_groups);
 }

@@ -2,16 +2,16 @@
 /// \brief Intra-flow bound-set search engine: pruned evaluation of candidate
 /// λ-sets.
 ///
-/// `select_bound_set` (varpart.hpp) greedily grows a bound set, evaluating
-/// O(|support| × bound_size) candidate charts per decomposition step. The
-/// engine grows each bound set once and stays bit-identical to the plain
-/// greedy search:
+/// The bound-set selection of varpart.hpp: select() greedily grows a bound
+/// set, evaluating O(|support| × bound_size) candidate charts per
+/// decomposition step. The engine grows each bound set once and stays
+/// bit-identical to the plain greedy search:
 ///
 ///  1. **One growth per step** — the greedy set of a smaller size is a
 ///     prefix of the larger one's picks (a step never looks at the target
 ///     size), so a non-trivial search grows to bound_size once and walks the
 ///     prefixes from the full size down to 2 instead of regrowing each size.
-///  2. **Monotone lower-bound pruning** — the cut traversal only ever
+///  2. **Monotone lower-bound pruning** — the column walk only ever
 ///     *discovers* columns, so a partial count is a lower bound on the true
 ///     count. A candidate whose partial count exceeds the incumbent best is
 ///     abandoned mid-enumeration (`count_columns_bounded`); the winner is
@@ -20,10 +20,10 @@
 ///     supports of on and dc) has at most kTruthTableChartMaxVars variables,
 ///     select() converts f to two packed truth tables once and counts every
 ///     candidate from them (TruthTableChart in chart.hpp) instead of
-///     building a BDD manager per candidate chart. The tables give exactly
+///     walking each candidate's cofactors. The tables give exactly
 ///     count_columns_bounded's counts and pruning verdicts, so the search
 ///     evaluates and prunes the identical candidates either way. Wider
-///     supports keep the BDD-cut path. SearchStats::candidates_tt counts the
+///     supports take the cofactor walk. SearchStats::candidates_tt counts the
 ///     candidates the tables served.
 ///  4. **One chart per step** — on the table path select() also returns
 ///     the column groups of its result's classes
@@ -67,11 +67,13 @@ class BoundSetSearch {
   BoundSetSearch(const BoundSetSearch&) = delete;
   BoundSetSearch& operator=(const BoundSetSearch&) = delete;
 
-  /// Drop-in replacement for select_bound_set: same greedy growth, same
-  /// tie-breaks, same result — served through pruning and truth tables.
-  /// With options.require_nontrivial the result is the largest greedy prefix
-  /// of at least 2 variables whose classes need fewer code bits than its
-  /// size (success=false when none does).
+  /// Selects a bound set of options.bound_size variables out of \p support
+  /// (f's support), minimizing the compatible-class count: the greedy growth
+  /// of varpart.hpp, served through pruning and truth tables; the rest of
+  /// the support becomes the free set. With options.require_nontrivial the
+  /// result is the largest greedy prefix of at least 2 variables whose
+  /// classes need fewer code bits than its size (success=false when none
+  /// does).
   VarPartitionResult select(const IsfBdd& f, const std::vector<int>& support,
                             const VarPartitionOptions& options);
 
@@ -95,13 +97,8 @@ class BoundSetSearch {
  private:
   /// One greedy step: returns the pool variable minimizing the column count
   /// of bound ∪ {v} (ties to the smallest variable).
-  int grow_step(const IsfBdd& f, const std::vector<int>& support,
-                const std::vector<int>& bound, const std::vector<int>& pool);
-
-  /// The chart of (f, support, \p bound) with bound sorted: the BDD-path
-  /// spec; the free set is support minus bound.
-  DecompSpec make_spec(const IsfBdd& f, const std::vector<int>& support,
-                       const std::vector<int>& bound) const;
+  int grow_step(const IsfBdd& f, const std::vector<int>& bound,
+                const std::vector<int>& pool);
 
   bdd::Manager& mgr_;
   SearchStats stats_;

@@ -2,12 +2,13 @@
 /// \brief Bound (λ) set selection, in the spirit of the BDD-based algorithm
 /// of Jiang et al. [2] that the paper adopts for Problem 1.
 ///
-/// The selector greedily grows a bound set of the requested size, at each
+/// The selection greedily grows a bound set of the requested size, at each
 /// step adding the variable that minimizes the number of chart columns
 /// (equivalently compatible classes for completely specified functions) —
 /// the same cost the paper's encoding minimizes downstream. Pseudo primary
 /// inputs can be biased toward the free set (Section 4.3 recommends keeping
-/// them close to the output).
+/// them close to the output). BoundSetSearch::select (search.hpp) runs it;
+/// this header holds its option and result types.
 
 #pragma once
 
@@ -45,13 +46,5 @@ struct VarPartitionResult {
     return bits;
   }
 };
-
-/// Selects a bound set of options.bound_size variables out of \p support
-/// (the function's support in \p mgr), minimizing the compatible-class count
-/// (smaller under options.require_nontrivial, see there). The remaining
-/// support becomes the free set.
-VarPartitionResult select_bound_set(bdd::Manager& mgr, const IsfBdd& f,
-                                    const std::vector<int>& support,
-                                    const VarPartitionOptions& options);
 
 }  // namespace hyde::decomp

@@ -41,7 +41,6 @@ TEST(CubeMin, NeverWorseThanItsRandomStart) {
     spec.mgr = &mgr;
     spec.f = IsfBdd{f, mgr.zero()};
     spec.bound = {0, 1, 2};
-    spec.free = {3, 4, 5, 6};
     const auto classes = decomp::compute_compatible_classes(spec);
     if (classes.num_classes() < 3) continue;
     std::vector<int> alpha_vars;
@@ -59,7 +58,7 @@ TEST(CubeMin, NeverWorseThanItsRandomStart) {
     tuned.validate(classes.num_classes());
     EXPECT_LE(cubes_of(tuned), cubes_of(start)) << trial;
     // The tuned encoding still yields a correct decomposition.
-    const auto step = decomp::build_step(mgr, classes, spec.bound, spec.free,
+    const auto step = decomp::build_step(mgr, classes, spec.bound, {3, 4, 5, 6},
                                          tuned, alpha_vars);
     EXPECT_TRUE(decomp::verify_step(mgr, spec.f, step)) << trial;
   }

@@ -56,18 +56,16 @@ TEST(Encoder, ProducesValidStrictEncoding) {
   spec.mgr = &mgr;
   spec.f = f;
   spec.bound = {0, 1, 2};
-  spec.free = {3, 4, 5, 6};
   const auto classes = decomp::compute_compatible_classes(spec);
   ASSERT_GE(classes.num_classes(), 3);
   std::vector<int> alpha_vars;
   for (int j = 0; j < classes.code_bits(); ++j) alpha_vars.push_back(8 + j);
   EncoderOptions options;
   options.k = 4;
-  const auto choice =
-      encode_classes(mgr, classes, spec.free, alpha_vars, options);
+  const auto choice = encode_classes(mgr, classes, alpha_vars, options);
   choice.encoding.validate(classes.num_classes());
   // The encoding must produce a correct decomposition.
-  const auto step = decomp::build_step(mgr, classes, spec.bound, spec.free,
+  const auto step = decomp::build_step(mgr, classes, spec.bound, {3, 4, 5, 6},
                                        choice.encoding, alpha_vars);
   EXPECT_TRUE(decomp::verify_step(mgr, f, step));
 }
@@ -84,7 +82,6 @@ TEST(Encoder, NeverWorseThanRandom) {
     spec.mgr = &mgr;
     spec.f = IsfBdd{on, mgr.zero()};
     spec.bound = {0, 1, 2};
-    spec.free = {3, 4, 5, 6, 7};
     const auto classes = decomp::compute_compatible_classes(spec);
     if (classes.num_classes() < 2) continue;
     std::vector<int> alpha_vars;
@@ -92,8 +89,7 @@ TEST(Encoder, NeverWorseThanRandom) {
     EncoderOptions options;
     options.k = 4;
     options.seed = trial;
-    const auto choice =
-        encode_classes(mgr, classes, spec.free, alpha_vars, options);
+    const auto choice = encode_classes(mgr, classes, alpha_vars, options);
     if (choice.trace.chosen_image_classes >= 0 &&
         choice.trace.random_image_classes >= 0 && !choice.trace.used_random) {
       EXPECT_LE(choice.trace.chosen_image_classes,
@@ -108,7 +104,7 @@ TEST(Encoder, TrivialSingleClass) {
   Manager mgr(4);
   const std::vector<IsfBdd> fns{IsfBdd{mgr.var(0), mgr.zero()}};
   EncoderOptions options;
-  const auto choice = encode_functions(mgr, fns, {0}, {}, options);
+  const auto choice = encode_functions(mgr, fns, {}, options);
   EXPECT_TRUE(choice.trace.trivially_feasible);
   EXPECT_EQ(choice.encoding.num_bits, 0);
 }
@@ -121,7 +117,7 @@ TEST(Encoder, KFeasibleImageShortCircuits) {
                                 IsfBdd{mgr.var(0) ^ mgr.var(1), mgr.zero()}};
   EncoderOptions options;
   options.k = 5;
-  const auto choice = encode_functions(mgr, fns, {0, 1}, {4}, options);
+  const auto choice = encode_functions(mgr, fns, {4}, options);
   EXPECT_TRUE(choice.trace.trivially_feasible);
 }
 
@@ -131,9 +127,9 @@ TEST(Encoder, RejectsBadAlphaCount) {
                                 IsfBdd{mgr.var(1), mgr.zero()},
                                 IsfBdd{mgr.var(0) & mgr.var(1), mgr.zero()}};
   EncoderOptions options;
-  EXPECT_THROW(encode_functions(mgr, fns, {0, 1}, {4}, options),
+  EXPECT_THROW(encode_functions(mgr, fns, {4}, options),
                std::invalid_argument);
-  EXPECT_THROW(encode_functions(mgr, {}, {}, {}, options),
+  EXPECT_THROW(encode_functions(mgr, {}, {}, options),
                std::invalid_argument);
 }
 
@@ -154,8 +150,7 @@ TEST(Encoder, TraceRecordsChartGeometry) {
   fns.push_back(IsfBdd{(y0 & y2) | (y1 & y3), mgr.zero()});
   EncoderOptions options;
   options.k = 4;
-  const auto choice = encode_functions(mgr, fns, {0, 1, 2, 3, 4},
-                                       {10, 11, 12}, options);
+  const auto choice = encode_functions(mgr, fns, {10, 11, 12}, options);
   choice.encoding.validate(8);
   const auto& trace = choice.trace;
   EXPECT_FALSE(trace.trivially_feasible);
@@ -189,14 +184,12 @@ TEST(Encoder, DeterministicAcrossRuns) {
     spec.mgr = &mgr;
     spec.f = f;
     spec.bound = {0, 1, 2};
-    spec.free = {3, 4, 5, 6};
     const auto classes = decomp::compute_compatible_classes(spec);
     std::vector<int> alpha_vars;
     for (int j = 0; j < classes.code_bits(); ++j) alpha_vars.push_back(8 + j);
     EncoderOptions options;
     options.k = 4;
-    const auto choice =
-        encode_classes(mgr, classes, spec.free, alpha_vars, options);
+    const auto choice = encode_classes(mgr, classes, alpha_vars, options);
     if (run == 0) {
       first_codes = choice.encoding.codes;
     } else {

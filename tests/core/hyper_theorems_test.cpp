@@ -33,15 +33,9 @@ std::vector<IsfBdd> random_ingredients(Manager& mgr, std::mt19937_64& rng,
 int hyper_class_count(Manager& mgr, const std::vector<IsfBdd>& ingredients,
                       const decomp::Encoding& codes,
                       const std::vector<int>& ppi_vars,
-                      const std::vector<int>& bound,
-                      const std::vector<int>& free) {
+                      const std::vector<int>& bound) {
   const IsfBdd h = decomp::build_image(mgr, ingredients, codes, ppi_vars);
-  decomp::DecompSpec spec;
-  spec.mgr = &mgr;
-  spec.f = h;
-  spec.bound = bound;
-  spec.free = free;
-  return decomp::count_compatible_classes(spec);
+  return decomp::count_compatible_classes(decomp::DecompSpec{&mgr, h, bound});
 }
 
 TEST(Theorem41, PpisTogetherMakeIngredientCodingIrrelevant) {
@@ -50,11 +44,9 @@ TEST(Theorem41, PpisTogetherMakeIngredientCodingIrrelevant) {
     Manager mgr(16);
     const auto ingredients = random_ingredients(mgr, rng, 4, 6);
     const std::vector<int> ppi_vars{10, 11};
-    // λ choices with both PPIs on one side.
+    // λ choices with both PPIs on one side (the rest of the support free).
     const std::vector<int> bound_with{10, 11, 0};
-    const std::vector<int> free_with{1, 2, 3, 4, 5};
     const std::vector<int> bound_without{0, 1, 2};
-    const std::vector<int> free_without{3, 4, 5, 10, 11};
 
     std::vector<int> with_counts, without_counts;
     std::vector<std::uint32_t> codes{0, 1, 2, 3};
@@ -63,10 +55,10 @@ TEST(Theorem41, PpisTogetherMakeIngredientCodingIrrelevant) {
       decomp::Encoding enc;
       enc.num_bits = 2;
       enc.codes = codes;
-      with_counts.push_back(hyper_class_count(mgr, ingredients, enc, ppi_vars,
-                                              bound_with, free_with));
-      without_counts.push_back(hyper_class_count(
-          mgr, ingredients, enc, ppi_vars, bound_without, free_without));
+      with_counts.push_back(
+          hyper_class_count(mgr, ingredients, enc, ppi_vars, bound_with));
+      without_counts.push_back(
+          hyper_class_count(mgr, ingredients, enc, ppi_vars, bound_without));
     } while (std::next_permutation(codes.begin(), codes.end()) &&
              ++permutation < 8);
     for (std::size_t i = 1; i < with_counts.size(); ++i) {
@@ -101,8 +93,7 @@ TEST(Theorem42, SplitPpisMakeCodingMatterOnlyThroughGrouping) {
       ingredients.push_back(IsfBdd{f, mgr.zero()});
     }
     const std::vector<int> ppi_vars{10, 11};  // bit0 = column, bit1 = row
-    const std::vector<int> bound{10, 0, 1};
-    const std::vector<int> free{4, 5, 11};
+    const std::vector<int> bound{10, 0, 1};  // free: {4, 5, 11}
 
     auto count_for = [&](bool flip_col, bool flip_row) {
       decomp::Encoding enc;
@@ -113,7 +104,7 @@ TEST(Theorem42, SplitPpisMakeCodingMatterOnlyThroughGrouping) {
         const std::uint32_t row = (i & 1) ^ (flip_row ? 1u : 0u);
         enc.codes[static_cast<std::size_t>(i)] = col | (row << 1);
       }
-      return hyper_class_count(mgr, ingredients, enc, ppi_vars, bound, free);
+      return hyper_class_count(mgr, ingredients, enc, ppi_vars, bound);
     };
     const int base = count_for(false, false);
     EXPECT_EQ(count_for(true, false), base) << trial;
@@ -125,8 +116,8 @@ TEST(Theorem42, SplitPpisMakeCodingMatterOnlyThroughGrouping) {
     decomp::Encoding regrouped;
     regrouped.num_bits = 2;
     regrouped.codes = {0, 1, 2, 3};
-    const int other = hyper_class_count(mgr, ingredients, regrouped, ppi_vars,
-                                        bound, free);
+    const int other =
+        hyper_class_count(mgr, ingredients, regrouped, ppi_vars, bound);
     if (other != base) ++spread_seen;
   }
   // Grouping usually matters for random ingredients.
@@ -139,11 +130,9 @@ TEST(HyperEncoder, UsesChartMachineryWhenPpisSplit) {
   std::mt19937_64 rng(43);
   Manager mgr(20);
   const auto ingredients = random_ingredients(mgr, rng, 4, 8);
-  std::vector<int> input_vars{0, 1, 2, 3, 4, 5, 6, 7};
   EncoderOptions options;
   options.k = 4;
-  const auto choice =
-      encode_functions(mgr, ingredients, input_vars, {16, 17}, options);
+  const auto choice = encode_functions(mgr, ingredients, {16, 17}, options);
   choice.encoding.validate(4);
   EXPECT_FALSE(choice.trace.trivially_feasible);
 }

@@ -1,8 +1,9 @@
 /// \file chart_cut_test.cpp
-/// \brief Randomized cross-checks of the cut-based chart enumeration against
-/// the recursive-cofactor reference: identical columns, identical order,
-/// identical minterm grouping and indicators, on completely and incompletely
-/// specified functions.
+/// \brief Randomized cross-checks of the cofactor-walk chart enumeration
+/// against an independent reference, the truth-table chart loaded past its
+/// search limit: identical columns in identical order, identical patterns
+/// and indicators node for node, and identical counts and pruning verdicts
+/// at every threshold, on completely and incompletely specified functions.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,7 @@
 #include <random>
 
 #include "decomp/chart.hpp"
-#include "oracles/chart_oracle.hpp"
+#include "decomp/compatible.hpp"
 #include "tt/truth_table.hpp"
 
 namespace hyde::decomp {
@@ -21,6 +22,9 @@ using hyde::bdd::Bdd;
 using hyde::bdd::Manager;
 using hyde::tt::TruthTable;
 
+/// Support limit of the reference tables: past every function built here.
+constexpr int kReferenceMaxVars = 24;
+
 Bdd random_bdd(Manager& mgr, int num_vars, std::mt19937_64& rng) {
   const TruthTable table = TruthTable::from_lambda(
       num_vars, [&rng](std::uint64_t) { return (rng() & 1) != 0; });
@@ -28,26 +32,40 @@ Bdd random_bdd(Manager& mgr, int num_vars, std::mt19937_64& rng) {
 }
 
 DecompSpec make_spec(Manager& mgr, const Bdd& on, const Bdd& dc,
-                     std::vector<int> bound, std::vector<int> free) {
+                     std::vector<int> bound) {
   DecompSpec spec;
   spec.mgr = &mgr;
   spec.f = IsfBdd{on, dc};
   spec.bound = std::move(bound);
-  spec.free = std::move(free);
   return spec;
 }
 
-/// Columns must agree field-for-field: same order, same canonical pattern
-/// nodes, same indicators, same minterm lists element-for-element.
-void expect_same_columns(const std::vector<Column>& cut,
-                         const std::vector<Column>& ref) {
-  ASSERT_EQ(cut.size(), ref.size());
-  for (std::size_t c = 0; c < cut.size(); ++c) {
-    EXPECT_EQ(cut[c].pattern.on, ref[c].pattern.on) << "column " << c;
-    EXPECT_EQ(cut[c].pattern.dc, ref[c].pattern.dc) << "column " << c;
-    EXPECT_EQ(cut[c].indicator, ref[c].indicator) << "column " << c;
-    EXPECT_EQ(cut[c].minterms, ref[c].minterms) << "column " << c;
+/// The chart of \p spec checked against a truth-table chart of spec.f:
+/// count_columns and count_columns_bounded at every threshold give the
+/// table's counts and verdicts, and enumerate_columns gives the layout's
+/// columns (turned into BDDs by build_classes) in the same order, pattern
+/// and indicator node for node. Returns the enumerated columns.
+std::vector<Column> expect_matches_table(const DecompSpec& spec) {
+  TruthTableChart chart;
+  EXPECT_TRUE(chart.load(*spec.mgr, spec.f, kReferenceMaxVars));
+  const int exact = chart.count_columns(spec.bound, 0).count;
+  EXPECT_EQ(count_columns(spec), exact);
+  for (int t = 0; t <= exact + 1; ++t) {
+    const BoundedCount walk = count_columns_bounded(spec, t);
+    const BoundedCount table = chart.count_columns(spec.bound, t);
+    EXPECT_EQ(walk.count, table.count) << "t=" << t;
+    EXPECT_EQ(walk.pruned, table.pruned) << "t=" << t;
   }
+  const std::vector<Column> columns = enumerate_columns(spec);
+  const std::vector<Column> ref =
+      build_classes(*spec.mgr, chart.layout(spec.bound), {}).columns;
+  EXPECT_EQ(columns.size(), ref.size());
+  for (std::size_t c = 0; c < std::min(columns.size(), ref.size()); ++c) {
+    EXPECT_EQ(columns[c].pattern.on, ref[c].pattern.on) << "column " << c;
+    EXPECT_EQ(columns[c].pattern.dc, ref[c].pattern.dc) << "column " << c;
+    EXPECT_EQ(columns[c].indicator, ref[c].indicator) << "column " << c;
+  }
+  return columns;
 }
 
 TEST(ChartCut, MatchesRecursiveOnRandomFunctions) {
@@ -57,13 +75,10 @@ TEST(ChartCut, MatchesRecursiveOnRandomFunctions) {
     Manager mgr(n);
     const Bdd on = random_bdd(mgr, n, rng);
     const int bound_size = 1 + static_cast<int>(rng() % (n - 1));
-    std::vector<int> bound, free;
-    for (int v = 0; v < n; ++v) {
-      (v < bound_size ? bound : free).push_back(v);
-    }
-    const auto spec = make_spec(mgr, on, mgr.zero(), bound, free);
-    expect_same_columns(enumerate_columns(spec),
-                        enumerate_columns_recursive(spec));
+    std::vector<int> bound;
+    for (int v = 0; v < bound_size; ++v) bound.push_back(v);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    expect_matches_table(make_spec(mgr, on, mgr.zero(), bound));
   }
 }
 
@@ -76,19 +91,17 @@ TEST(ChartCut, MatchesRecursiveOnRandomIsfs) {
     const Bdd raw_dc = random_bdd(mgr, n, rng);
     const Bdd dc = raw_dc & ~raw_on;  // keep the ISF consistent
     const int bound_size = 1 + static_cast<int>(rng() % (n - 1));
-    std::vector<int> bound, free;
-    for (int v = 0; v < n; ++v) {
-      (v < bound_size ? bound : free).push_back(v);
-    }
-    const auto spec = make_spec(mgr, raw_on, dc, bound, free);
-    expect_same_columns(enumerate_columns(spec),
-                        enumerate_columns_recursive(spec));
+    std::vector<int> bound;
+    for (int v = 0; v < bound_size; ++v) bound.push_back(v);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    expect_matches_table(make_spec(mgr, raw_on, dc, bound));
   }
 }
 
 TEST(ChartCut, MatchesRecursiveOnScatteredBoundSets) {
-  // Bound variables interleaved with free ones (the transfer has to reorder),
-  // exercising non-contiguous var maps in both directions.
+  // Bound variables interleaved with free ones and listed out of order: the
+  // walk assigns bound[0] first, so the column order follows the list, not
+  // the variable indices.
   std::mt19937_64 rng(777);
   for (int trial = 0; trial < 20; ++trial) {
     const int n = 5 + static_cast<int>(rng() % 3);  // 5..7 variables
@@ -98,41 +111,15 @@ TEST(ChartCut, MatchesRecursiveOnScatteredBoundSets) {
     for (int v = 0; v < n; ++v) perm[static_cast<std::size_t>(v)] = v;
     std::shuffle(perm.begin(), perm.end(), rng);
     const int bound_size = 2 + static_cast<int>(rng() % 3);
-    std::vector<int> bound(perm.begin(), perm.begin() + bound_size);
-    std::vector<int> free(perm.begin() + bound_size, perm.end());
-    const auto spec = make_spec(mgr, on, mgr.zero(), bound, free);
-    expect_same_columns(enumerate_columns(spec),
-                        enumerate_columns_recursive(spec));
-  }
-}
-
-TEST(ChartCut, IncompleteFreeListStillCoversSupport) {
-  // Callers may pass a free list that misses support variables (the
-  // recursive reference never looks at `free`); the cut path must map the
-  // stragglers below the cut on its own.
-  Manager mgr(5);
-  const Bdd f = (mgr.var(0) & mgr.var(2)) ^ (mgr.var(3) | mgr.var(4));
-  auto spec = make_spec(mgr, f, mgr.zero(), {0, 2}, {3});  // 4 missing
-  expect_same_columns(enumerate_columns(spec),
-                      enumerate_columns_recursive(spec));
-}
-
-TEST(ChartCut, SkipsMintermsOnRequest) {
-  Manager mgr(4);
-  const Bdd f = mgr.var(0) ^ mgr.var(1) ^ mgr.var(2) ^ mgr.var(3);
-  auto spec = make_spec(mgr, f, mgr.zero(), {0, 1}, {2, 3});
-  spec.include_minterms = false;
-  const auto columns = enumerate_columns(spec);
-  ASSERT_EQ(columns.size(), 2u);
-  for (const Column& c : columns) {
-    EXPECT_TRUE(c.minterms.empty());
-    EXPECT_FALSE(c.indicator.is_zero());  // indicators still materialized
+    const std::vector<int> bound(perm.begin(), perm.begin() + bound_size);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    expect_matches_table(make_spec(mgr, on, mgr.zero(), bound));
   }
 }
 
 TEST(ChartCutCount, CountMatchesRecursiveUpToMaxBoundVars) {
-  // Satellite property test: count_columns (cut-based) == the recursive
-  // reference on random ISFs, with bound sets up to kMaxBoundVars.
+  // count_columns equals the table count on random ISFs, with bound sets up
+  // to kMaxBoundVars.
   std::mt19937_64 rng(31337);
   for (int trial = 0; trial < 12; ++trial) {
     const int n = 4 + static_cast<int>(rng() % 7);  // 4..10 variables
@@ -141,12 +128,13 @@ TEST(ChartCutCount, CountMatchesRecursiveUpToMaxBoundVars) {
     const Bdd dc = random_bdd(mgr, n, rng) & ~raw_on;
     const int bound_size =
         1 + static_cast<int>(rng() % static_cast<std::uint64_t>(n));
-    std::vector<int> bound, free;
-    for (int v = 0; v < n; ++v) {
-      (v < bound_size ? bound : free).push_back(v);
-    }
-    const auto spec = make_spec(mgr, raw_on, dc, bound, free);
-    EXPECT_EQ(count_columns(spec), count_columns_recursive(spec));
+    std::vector<int> bound;
+    for (int v = 0; v < bound_size; ++v) bound.push_back(v);
+    const auto spec = make_spec(mgr, raw_on, dc, bound);
+    TruthTableChart chart;
+    ASSERT_TRUE(chart.load(mgr, spec.f, kReferenceMaxVars));
+    EXPECT_EQ(count_columns(spec), chart.count_columns(bound, 0).count)
+        << "trial " << trial;
   }
   // And the kMaxBoundVars edge itself: a parity over 16 bound variables has
   // exactly two columns however it is counted.
@@ -157,29 +145,25 @@ TEST(ChartCutCount, CountMatchesRecursiveUpToMaxBoundVars) {
     parity = parity ^ mgr.var(v);
     bound.push_back(v);
   }
-  const auto spec =
-      make_spec(mgr, parity, mgr.zero(), bound, {kMaxBoundVars});
+  const auto spec = make_spec(mgr, parity, mgr.zero(), bound);
   EXPECT_EQ(count_columns(spec), 2);
+  EXPECT_EQ(expect_matches_table(spec).size(), 2u);
 }
 
 TEST(ChartCut, EmptyBoundSetYieldsOneColumn) {
   Manager mgr(3);
   const Bdd f = mgr.var(0) & mgr.var(2);
-  const auto spec = make_spec(mgr, f, mgr.zero(), {}, {0, 1, 2});
-  const auto cut = enumerate_columns(spec);
-  expect_same_columns(cut, enumerate_columns_recursive(spec));
+  const auto cut = expect_matches_table(make_spec(mgr, f, mgr.zero(), {}));
   ASSERT_EQ(cut.size(), 1u);
   EXPECT_TRUE(cut[0].indicator.is_one());
-  EXPECT_EQ(cut[0].minterms, (std::vector<std::uint64_t>{0}));
+  EXPECT_EQ(cut[0].pattern.on, f);
 }
 
 TEST(ChartCut, FullBoundSetMatchesRecursive) {
   std::mt19937_64 rng(99);
   Manager mgr(4);
   const Bdd f = random_bdd(mgr, 4, rng);
-  const auto spec = make_spec(mgr, f, mgr.zero(), {0, 1, 2, 3}, {});
-  expect_same_columns(enumerate_columns(spec),
-                      enumerate_columns_recursive(spec));
+  expect_matches_table(make_spec(mgr, f, mgr.zero(), {0, 1, 2, 3}));
 }
 
 TEST(ChartCut, MintermCubeBuildsCorrectCubes) {

@@ -108,15 +108,13 @@ TEST(ClassOracle, RandomIsfsUpToTheTableLimit) {
       spec.mgr = &mgr;
       spec.f = f;
       spec.bound.assign(support.begin(), support.begin() + bound_size);
-      spec.free.assign(support.begin() + bound_size, support.end());
       const std::string what = "n=" + std::to_string(n) + " trial " +
                                std::to_string(trial);
       expect_spec_matches_oracle(spec, what);
 
-      // A bound variable outside the support and an incomplete free list.
+      // A bound variable outside the support.
       DecompSpec odd = spec;
       odd.bound.push_back(vars[static_cast<std::size_t>(n)]);
-      if (!odd.free.empty()) odd.free.pop_back();
       expect_spec_matches_oracle(odd, what + " odd lists");
     }
   }
@@ -149,7 +147,6 @@ TEST(ClassOracle, DcHeavyChartsMergeColumns) {
     spec.mgr = &mgr;
     spec.f = f;
     spec.bound = {1, 3, 5, 7, 9, 11, 0, 2};
-    spec.free = {4, 6, 8, 10};
     const ClassResult classes = compute_compatible_classes(spec);
     EXPECT_LT(classes.num_classes(), static_cast<int>(classes.columns.size()));
     expect_spec_matches_oracle(spec, "dc heavy " + std::to_string(trial));
@@ -167,7 +164,6 @@ TEST(ClassOracle, WideRowSpaceFallsBackToBddPairs) {
   spec.mgr = &mgr;
   spec.f = random_isf(mgr, rng, vars, 3, 4);
   spec.bound = {0, 1, 2};
-  for (int v = 3; v < 16; ++v) spec.free.push_back(v);
   expect_spec_matches_oracle(spec, "wide rows");
 }
 
@@ -191,7 +187,6 @@ TEST(ClassOracle, SearchClassesReuseTheSelectChart) {
       spec.mgr = &mgr;
       spec.f = f;
       spec.bound = vp.bound;
-      spec.free = vp.free;
       ClassStats stats;
       expect_same_classes(engine.classes(f, vp, policy, &stats),
                           compute_compatible_classes_bdd(spec, policy),
@@ -212,7 +207,6 @@ TEST(ClassOracle, StepEightCostsMatchTheBddRecount) {
     spec.mgr = &mgr;
     spec.f = random_isf(mgr, rng, vars, 3, trial % 2 == 0 ? 4 : 0);
     spec.bound.assign(vars.begin(), vars.begin() + (n - 3));
-    spec.free.assign(vars.begin() + (n - 3), vars.end());
     const DcPolicy policy = kPolicies[trial % 2];
     const ClassResult classes = compute_compatible_classes(spec, policy);
     if (classes.num_classes() < 2) continue;
@@ -223,7 +217,7 @@ TEST(ClassOracle, StepEightCostsMatchTheBddRecount) {
     options.seed = static_cast<std::uint64_t>(trial) + 1;
     options.dc_policy = policy;
     const core::EncodingChoice choice =
-        core::encode_classes(mgr, classes, spec.free, alpha_vars, options);
+        core::encode_classes(mgr, classes, alpha_vars, options);
     if (choice.trace.random_image_classes < 0) continue;
 
     std::vector<IsfBdd> functions;

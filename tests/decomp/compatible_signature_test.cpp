@@ -23,12 +23,11 @@ using hyde::bdd::Manager;
 using hyde::tt::TruthTable;
 
 DecompSpec make_spec(Manager& mgr, const Bdd& on, const Bdd& dc,
-                     std::vector<int> bound, std::vector<int> free_vars) {
+                     std::vector<int> bound) {
   DecompSpec spec;
   spec.mgr = &mgr;
   spec.f = IsfBdd{on, dc};
   spec.bound = std::move(bound);
-  spec.free = std::move(free_vars);
   return spec;
 }
 
@@ -39,9 +38,7 @@ DecompSpec random_isf_spec(Manager& mgr, std::mt19937_64& rng, int n = 6) {
       n, [&rng](std::uint64_t) { return (rng() % 3) == 0; }));
   const Bdd dc_raw = mgr.from_truth_table(TruthTable::from_lambda(
       n, [&rng](std::uint64_t) { return (rng() % 4) == 0; }));
-  std::vector<int> free_vars;
-  for (int v = 3; v < n; ++v) free_vars.push_back(v);
-  return make_spec(mgr, on, dc_raw & ~on, {0, 1, 2}, free_vars);
+  return make_spec(mgr, on, dc_raw & ~on, {0, 1, 2});
 }
 
 /// Column patterns over 13 free variables: the 2^13-row space exceeds
@@ -90,7 +87,7 @@ TEST(CompatibleSignature, NoDontCaresPoliciesAgree) {
     Manager mgr(6);
     const Bdd on = mgr.from_truth_table(TruthTable::from_lambda(
         6, [&rng](std::uint64_t) { return (rng() & 1) != 0; }));
-    const auto spec = make_spec(mgr, on, mgr.zero(), {0, 1, 2}, {3, 4, 5});
+    const auto spec = make_spec(mgr, on, mgr.zero(), {0, 1, 2});
     const int distinct =
         count_compatible_classes(spec, DcPolicy::kDistinctColumns);
     EXPECT_EQ(count_compatible_classes(spec, DcPolicy::kCliquePartition),

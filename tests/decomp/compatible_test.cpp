@@ -14,12 +14,11 @@ using hyde::bdd::Manager;
 using hyde::tt::TruthTable;
 
 DecompSpec make_spec(Manager& mgr, const Bdd& on, const Bdd& dc,
-                     std::vector<int> bound, std::vector<int> free) {
+                     std::vector<int> bound) {
   DecompSpec spec;
   spec.mgr = &mgr;
   spec.f = IsfBdd{on, dc};
   spec.bound = std::move(bound);
-  spec.free = std::move(free);
   return spec;
 }
 
@@ -28,7 +27,7 @@ TEST(Compatible, CompletelySpecifiedClassesAreColumns) {
   // 9sym-like small symmetric function: classes w.r.t. any bound set of a
   // symmetric function = number of distinct weights in the bound part.
   const Bdd f = mgr.from_truth_table(TruthTable::symmetric(5, {2, 3}));
-  const auto spec = make_spec(mgr, f, mgr.zero(), {0, 1, 2}, {3, 4});
+  const auto spec = make_spec(mgr, f, mgr.zero(), {0, 1, 2});
   const auto result = compute_compatible_classes(spec);
   // Bound weight can be 0..3 and the four residual functions over the two
   // free variables are pairwise distinct, so expect exactly 4 classes.
@@ -46,7 +45,7 @@ TEST(Compatible, ClassInvariants) {
     const Bdd dc_raw = mgr.from_truth_table(TruthTable::from_lambda(
         6, [&rng](std::uint64_t) { return (rng() % 4) == 0; }));
     const Bdd dc = dc_raw & ~on;
-    const auto spec = make_spec(mgr, on, dc, {0, 1, 2}, {3, 4, 5});
+    const auto spec = make_spec(mgr, on, dc, {0, 1, 2});
     const auto result = compute_compatible_classes(spec);
     ASSERT_GE(result.num_classes(), 1);
     // Indicators are disjoint and cover the bound space.
@@ -74,7 +73,7 @@ TEST(Compatible, DontCareMergingReducesClasses) {
   Manager mgr(2);
   const Bdd on = mgr.var(0) & mgr.var(1);
   const Bdd dc = ~mgr.var(0);
-  const auto spec = make_spec(mgr, on, dc, {0}, {1});
+  const auto spec = make_spec(mgr, on, dc, {0});
   EXPECT_EQ(count_compatible_classes(spec, DcPolicy::kDistinctColumns), 2);
   EXPECT_EQ(count_compatible_classes(spec, DcPolicy::kCliquePartition), 1);
   const auto result = compute_compatible_classes(spec, DcPolicy::kCliquePartition);
@@ -116,7 +115,7 @@ TEST(Compatible, CountShortcutsMatchFullComputation) {
     const Bdd on = mgr.from_truth_table(TruthTable::from_lambda(
         6, [&rng](std::uint64_t) { return (rng() & 1) != 0; }));
     // Completely specified: count shortcut equals the full computation.
-    const auto spec = make_spec(mgr, on, mgr.zero(), {0, 1, 2}, {3, 4, 5});
+    const auto spec = make_spec(mgr, on, mgr.zero(), {0, 1, 2});
     EXPECT_EQ(count_compatible_classes(spec),
               compute_compatible_classes(spec).num_classes());
   }

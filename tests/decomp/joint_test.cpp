@@ -55,7 +55,6 @@ TEST(Joint, ClassCountIsProductBounded) {
       spec.mgr = &mgr;
       spec.f = fns.back();
       spec.bound = {0, 1, 2};
-      spec.free = {3, 4, 5};
       individual.push_back(count_columns(spec));
     }
     const int joint = count_joint_classes(mgr, fns, {0, 1, 2});
@@ -86,7 +85,6 @@ TEST(Joint, ContainedFunctionAddsNoClasses) {
   spec_b.mgr = &mgr;
   spec_b.f = fns[1];
   spec_b.bound = {0, 1};
-  spec_b.free = {4, 5};
   const int fb_classes = count_columns(spec_b);
   EXPECT_EQ(count_joint_classes(mgr, fns, {0, 1}), fb_classes);
 

@@ -3,7 +3,7 @@
 /// must return the identical partition after a reorder of the source
 /// manager, the column counts the chart layer computes must be invariant
 /// under the variable order, and the truth-table chart built from a
-/// reordered manager must agree with the BDD-cut path.
+/// reordered manager must agree with the cofactor walk.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include "decomp/chart.hpp"
 #include "decomp/compatible.hpp"
 #include "decomp/search.hpp"
-#include "oracles/chart_oracle.hpp"
 #include "tt/truth_table.hpp"
 
 namespace hyde::decomp {
@@ -75,7 +74,7 @@ TEST(BoundSetSearchReorderTest, SelectIsIdenticalAcrossReorderSift) {
 
 TEST(BoundSetSearchReorderTest, TruthTablePathMatchesTheCutPathAfterReorder) {
   // On a sifted manager the truth-table chart is built in the new order and
-  // swapped into its own: its counts must still equal the BDD-cut path's for
+  // swapped into its own: its counts must still equal the cofactor walk's for
   // every bound pair and random larger sets, and a select must agree with
   // the same select before the reorder and with the BDD class count.
   std::mt19937_64 rng(74);
@@ -110,9 +109,9 @@ TEST(BoundSetSearchReorderTest, TruthTablePathMatchesTheCutPathAfterReorder) {
         spec.bound = {a, b};
         for (int t : {0, 2, 3}) {
           const BoundedCount table = chart.count_columns(spec.bound, t);
-          const BoundedCount cut = count_columns_bounded(spec, t);
-          EXPECT_EQ(table.count, cut.count) << a << "," << b << " t=" << t;
-          EXPECT_EQ(table.pruned, cut.pruned) << a << "," << b << " t=" << t;
+          const BoundedCount walk = count_columns_bounded(spec, t);
+          EXPECT_EQ(table.count, walk.count) << a << "," << b << " t=" << t;
+          EXPECT_EQ(table.pruned, walk.pruned) << a << "," << b << " t=" << t;
         }
       }
     }
@@ -132,14 +131,13 @@ TEST(BoundSetSearchReorderTest, TruthTablePathMatchesTheCutPathAfterReorder) {
     EXPECT_EQ(engine.stats().candidates_tt,
               engine.stats().candidates_evaluated);
     spec.bound = after.bound;
-    spec.free = after.free;
     EXPECT_EQ(after.num_classes, count_compatible_classes(spec));
   }
   EXPECT_GT(moved, 0);
 }
 
 TEST(ChartReorderTest, ColumnCountsAreOrderInvariant) {
-  // Both chart paths (cut enumeration and the recursive reference) must
+  // Both chart paths (the cofactor walk and the truth-table chart) must
   // count the same number of distinct columns whatever order the manager
   // currently holds — this is the property that makes the flow's results
   // independent of when auto-reorder happens to fire.
@@ -153,20 +151,23 @@ TEST(ChartReorderTest, ColumnCountsAreOrderInvariant) {
     spec.mgr = &mgr;
     spec.f = IsfBdd{on, dc};
     const int bound_size = 2 + static_cast<int>(rng() % 3);
-    for (int v = 0; v < n; ++v) {
-      (v < bound_size ? spec.bound : spec.free).push_back(v);
-    }
-    const int cut_before = count_columns(spec);
-    const int rec_before = count_columns_recursive(spec);
-    EXPECT_EQ(cut_before, rec_before);
+    for (int v = 0; v < bound_size; ++v) spec.bound.push_back(v);
+    const auto table_count = [&spec] {
+      TruthTableChart chart;
+      EXPECT_TRUE(chart.load(*spec.mgr, spec.f));
+      return chart.count_columns(spec.bound, 0).count;
+    };
+    const int walk_before = count_columns(spec);
+    const int table_before = table_count();
+    EXPECT_EQ(walk_before, table_before);
 
     mgr.reorder_sift();
 
-    EXPECT_EQ(count_columns(spec), cut_before) << "trial " << trial;
-    EXPECT_EQ(count_columns_recursive(spec), rec_before) << "trial " << trial;
+    EXPECT_EQ(count_columns(spec), walk_before) << "trial " << trial;
+    EXPECT_EQ(table_count(), table_before) << "trial " << trial;
     const BoundedCount bounded = count_columns_bounded(spec, 0);
     EXPECT_FALSE(bounded.pruned);
-    EXPECT_EQ(bounded.count, cut_before);
+    EXPECT_EQ(bounded.count, walk_before);
   }
 }
 

@@ -1,10 +1,11 @@
 /// \file search_test.cpp
 /// \brief Bound-set search engine correctness: bounded (pruned) column
-/// counting against the recursive reference, the truth-table chart against
-/// the BDD-cut path, and bit-identical selection against a verbatim copy of
-/// the historical greedy loop and the flow's old size-retry loop around it —
-/// fresh, repeated, on one engine across many functions, across bound sizes
-/// and on both sides of the truth-table support limit.
+/// counting against the truth-table chart, and bit-identical selection
+/// against a verbatim copy of the historical greedy loop (counting every
+/// candidate on a truth-table chart loaded past the search's support limit)
+/// and the flow's old size-retry loop around it — fresh, repeated, on one
+/// engine across many functions, across bound sizes and on both sides of
+/// the truth-table support limit.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +19,6 @@
 #include "core/encoder.hpp"
 #include "decomp/search.hpp"
 #include "decomp/step.hpp"
-#include "oracles/chart_oracle.hpp"
 #include "tt/truth_table.hpp"
 
 namespace hyde::decomp {
@@ -27,6 +27,16 @@ namespace {
 using hyde::bdd::Bdd;
 using hyde::bdd::Manager;
 using hyde::tt::TruthTable;
+
+/// Support limit of the reference tables: past every function built here.
+constexpr int kReferenceMaxVars = 24;
+
+/// Exact column count of \p spec's chart, on a truth-table chart of spec.f.
+int table_count(const DecompSpec& spec) {
+  TruthTableChart chart;
+  EXPECT_TRUE(chart.load(*spec.mgr, spec.f, kReferenceMaxVars));
+  return chart.count_columns(spec.bound, 0).count;
+}
 
 Bdd random_bdd(Manager& mgr, int num_vars, std::mt19937_64& rng) {
   const TruthTable table = TruthTable::from_lambda(
@@ -79,8 +89,9 @@ IsfBdd random_isf(Manager& mgr, int n, int dc_period, std::mt19937_64& rng,
   return IsfBdd{on, random_on(mgr, vars, dc_period, rng) & ~on};
 }
 
-/// Verbatim re-implementation of the historical select_bound_set greedy loop
-/// (pre-engine): evaluates every candidate from scratch with an exact count.
+/// Verbatim re-implementation of the historical greedy loop (pre-engine):
+/// evaluates every candidate from scratch with an exact count, here read off
+/// one truth-table chart of f.
 VarPartitionResult legacy_greedy(Manager& mgr, const IsfBdd& f,
                                  const std::vector<int>& support,
                                  const VarPartitionOptions& options) {
@@ -98,6 +109,8 @@ VarPartitionResult legacy_greedy(Manager& mgr, const IsfBdd& f,
       preferred.push_back(v);
     }
   }
+  TruthTableChart chart;
+  EXPECT_TRUE(chart.load(mgr, f, kReferenceMaxVars));
   std::vector<int> bound;
   while (static_cast<int>(bound.size()) < options.bound_size) {
     std::vector<int>& pool = !preferred.empty() ? preferred : avoided;
@@ -105,18 +118,9 @@ VarPartitionResult legacy_greedy(Manager& mgr, const IsfBdd& f,
     int best_var = -1;
     int best_cost = 0;
     for (int v : pool) {
-      DecompSpec spec;
-      spec.mgr = &mgr;
-      spec.f = f;
-      spec.bound = bound;
-      spec.bound.push_back(v);
-      for (int s : support) {
-        if (std::find(spec.bound.begin(), spec.bound.end(), s) ==
-            spec.bound.end()) {
-          spec.free.push_back(s);
-        }
-      }
-      const int cost = count_columns(spec);
+      std::vector<int> trial = bound;
+      trial.push_back(v);
+      const int cost = chart.count_columns(trial, 0).count;
       if (best_var < 0 || cost < best_cost ||
           (cost == best_cost && v < best_var)) {
         best_var = v;
@@ -127,18 +131,14 @@ VarPartitionResult legacy_greedy(Manager& mgr, const IsfBdd& f,
     pool.erase(std::find(pool.begin(), pool.end(), best_var));
   }
   std::sort(bound.begin(), bound.end());
-  DecompSpec spec;
-  spec.mgr = &mgr;
-  spec.f = f;
-  spec.bound = bound;
+  result.bound = bound;
   for (int v : support) {
     if (std::find(bound.begin(), bound.end(), v) == bound.end()) {
-      spec.free.push_back(v);
+      result.free.push_back(v);
     }
   }
-  result.bound = spec.bound;
-  result.free = spec.free;
-  result.num_classes = count_compatible_classes(spec, options.dc_policy);
+  result.num_classes =
+      count_compatible_classes(DecompSpec{&mgr, f, bound}, options.dc_policy);
   result.success = true;
   if (options.require_nontrivial &&
       result.code_bits() >= static_cast<int>(result.bound.size())) {
@@ -183,10 +183,8 @@ TEST(BoundedCountTest, ExactWhenThresholdNotExceeded) {
     DecompSpec spec;
     spec.mgr = &mgr;
     spec.f = IsfBdd{on, dc};
-    for (int v = 0; v < n; ++v) {
-      (v < bound_size ? spec.bound : spec.free).push_back(v);
-    }
-    const int exact = count_columns_recursive(spec);
+    for (int v = 0; v < bound_size; ++v) spec.bound.push_back(v);
+    const int exact = table_count(spec);
     // Unlimited and at-threshold counts are exact and unpruned.
     const BoundedCount unlimited = count_columns_bounded(spec, 0);
     EXPECT_FALSE(unlimited.pruned);
@@ -211,14 +209,12 @@ TEST(BoundedCountTest, PrunedCountIsALowerBoundPastTheThreshold) {
     DecompSpec spec;
     spec.mgr = &mgr;
     spec.f = IsfBdd{on, mgr.zero()};
-    for (int v = 0; v < n; ++v) {
-      (v < bound_size ? spec.bound : spec.free).push_back(v);
-    }
-    const int exact = count_columns_recursive(spec);
+    for (int v = 0; v < bound_size; ++v) spec.bound.push_back(v);
+    const int exact = table_count(spec);
     for (int threshold = 1; threshold < exact; ++threshold) {
       const BoundedCount bc = count_columns_bounded(spec, threshold);
       ASSERT_TRUE(bc.pruned) << "threshold " << threshold << " exact " << exact;
-      // The traversal stops right after proving the threshold is beaten.
+      // The walk stops right after proving the threshold is beaten.
       EXPECT_EQ(bc.count, threshold + 1);
       ++pruned_seen;
     }
@@ -230,9 +226,10 @@ TEST(BoundSetSearchTruthTableTest, CountsMatchTheCutPathAndTheOracle) {
   // Random ISFs of 1..16 variables at dc densities none / sparse / dense;
   // bound sets of 1..min(n, 6) variables drawn from a manager with two
   // variables outside the support; every threshold 0..2^|bound|+1. The
-  // table count must honour the contract against the recursive oracle's
-  // exact count and equal count_columns_bounded's; the table-derived class
-  // count must equal count_compatible_classes under both policies.
+  // table count must honour the pruning contract against its own exact
+  // count and equal the cofactor walk's (count_columns_bounded); the
+  // table-derived class count must equal count_compatible_classes under
+  // both policies.
   std::mt19937_64 rng(81);
   for (int n = 1; n <= kTruthTableChartMaxVars; ++n) {
     for (const int dc_period : {0, 16, 2}) {
@@ -251,8 +248,7 @@ TEST(BoundSetSearchTruthTableTest, CountsMatchTheCutPathAndTheOracle) {
         spec.mgr = &mgr;
         spec.f = f;
         spec.bound.assign(vars.begin(), vars.begin() + size);
-        spec.free.assign(vars.begin() + size, vars.end());
-        const int exact = count_columns_recursive(spec);
+        const int exact = chart.count_columns(spec.bound, 0).count;
         const int last = (1 << size) + 1;
         for (int t = 0; t <= last; ++t) {
           const BoundedCount table = chart.count_columns(spec.bound, t);
@@ -261,17 +257,18 @@ TEST(BoundSetSearchTruthTableTest, CountsMatchTheCutPathAndTheOracle) {
               << "n=" << n << " size=" << size << " t=" << t;
           EXPECT_EQ(table.count, over ? t + 1 : exact)
               << "n=" << n << " size=" << size << " t=" << t;
-          // A cut-path count re-transfers the whole BDD (milliseconds at 16
-          // random variables), so wide random tables compare it only where
-          // the verdict can change: the ends and around the exact count.
+          // A walk cofactors the whole BDD at every assignment (milliseconds
+          // at 16 random variables), so wide random tables compare it only
+          // where the verdict can change: the ends and around the exact
+          // count.
           if (!structured && n > 12 && t > 1 && std::abs(t - exact) > 1 &&
               t != last) {
             continue;
           }
-          const BoundedCount cut = count_columns_bounded(spec, t);
-          EXPECT_EQ(table.count, cut.count)
+          const BoundedCount walk = count_columns_bounded(spec, t);
+          EXPECT_EQ(table.count, walk.count)
               << "n=" << n << " size=" << size << " t=" << t;
-          EXPECT_EQ(table.pruned, cut.pruned)
+          EXPECT_EQ(table.pruned, walk.pruned)
               << "n=" << n << " size=" << size << " t=" << t;
         }
         for (const DcPolicy policy :
@@ -298,7 +295,7 @@ TEST(BoundSetSearchTruthTableTest, WiderSupportsStayOnTheCutPath) {
 
 TEST(BoundSetSearchTest, EngineMatchesTheLegacyGreedyAcrossTheTableLimit) {
   // 10, 14 and 16 support variables take the truth-table path, 17 the
-  // BDD-cut path; both must reproduce the legacy greedy and its size-retry
+  // cofactor walk; both must reproduce the legacy greedy and its size-retry
   // loop, with and without an avoid set, also when the candidate pool is
   // narrower than the ISF support (the flow's hard-mu mode keeps pseudo
   // primary inputs out of the pool).
@@ -430,9 +427,7 @@ TEST(BoundSetSearchTest, EncoderHookMatchesHookFreeEncoding) {
     DecompSpec spec;
     spec.mgr = &mgr;
     spec.f = f;
-    for (std::size_t i = 0; i < support.size(); ++i) {
-      (i < 4 ? spec.bound : spec.free).push_back(support[i]);
-    }
+    spec.bound.assign(support.begin(), support.begin() + 4);
     const auto classes =
         compute_compatible_classes(spec, DcPolicy::kCliquePartition);
     if (classes.num_classes() < 3) continue;
@@ -442,38 +437,19 @@ TEST(BoundSetSearchTest, EncoderHookMatchesHookFreeEncoding) {
     core::EncoderOptions base;
     base.k = 4;
     base.seed = 11 + static_cast<std::uint64_t>(trial);
-    const auto plain =
-        core::encode_classes(mgr, classes, spec.free, alpha_vars, base);
+    const auto plain = core::encode_classes(mgr, classes, alpha_vars, base);
 
     BoundSetSearch engine(mgr);
     core::EncoderOptions hooked = base;
     hooked.search = &engine;
     const auto via_engine =
-        core::encode_classes(mgr, classes, spec.free, alpha_vars, hooked);
+        core::encode_classes(mgr, classes, alpha_vars, hooked);
 
     EXPECT_EQ(plain.encoding.codes, via_engine.encoding.codes);
     EXPECT_EQ(plain.lambda_hint, via_engine.lambda_hint);
     EXPECT_EQ(plain.trace.used_random, via_engine.trace.used_random);
     EXPECT_EQ(plain.trace.num_rows, via_engine.trace.num_rows);
     EXPECT_EQ(plain.trace.num_cols, via_engine.trace.num_cols);
-  }
-}
-
-TEST(BoundSetSearchTest, WrapperSelectBoundSetStillMatchesLegacy) {
-  // The free function is now a thin wrapper over a serial engine; pin its
-  // behaviour to the reference too.
-  std::mt19937_64 rng(68);
-  for (int trial = 0; trial < 10; ++trial) {
-    const int n = 6;
-    Manager mgr(n);
-    const Bdd on = random_bdd(mgr, n, rng);
-    const IsfBdd f{on, mgr.zero()};
-    const std::vector<int> support = mgr.support(on);
-    if (static_cast<int>(support.size()) < 4) continue;
-    VarPartitionOptions options;
-    options.bound_size = 3;
-    expect_same_result(select_bound_set(mgr, f, support, options),
-                       legacy_select(mgr, f, support, options), "wrapper");
   }
 }
 

@@ -14,12 +14,11 @@ using hyde::bdd::Manager;
 using hyde::tt::TruthTable;
 
 DecompSpec make_spec(Manager& mgr, const Bdd& on, const Bdd& dc,
-                     std::vector<int> bound, std::vector<int> free) {
+                     std::vector<int> bound) {
   DecompSpec spec;
   spec.mgr = &mgr;
   spec.f = IsfBdd{on, dc};
   spec.bound = std::move(bound);
-  spec.free = std::move(free);
   return spec;
 }
 
@@ -60,10 +59,10 @@ TEST(Step, DecomposesXorChain) {
   // f = x0^x1^x2^x3, bound {0,1}, free {2,3}: 2 classes, 1 alpha = parity.
   Manager mgr(6);
   const Bdd f = mgr.var(0) ^ mgr.var(1) ^ mgr.var(2) ^ mgr.var(3);
-  const auto spec = make_spec(mgr, f, mgr.zero(), {0, 1}, {2, 3});
+  const auto spec = make_spec(mgr, f, mgr.zero(), {0, 1});
   const auto classes = compute_compatible_classes(spec);
   ASSERT_EQ(classes.num_classes(), 2);
-  const auto step = build_step(mgr, classes, spec.bound, spec.free,
+  const auto step = build_step(mgr, classes, spec.bound, {2, 3},
                                identity_encoding(2), {4});
   ASSERT_EQ(step.alphas.size(), 1u);
   // The alpha is x0^x1 or its complement.
@@ -78,9 +77,9 @@ TEST(Step, DecomposesXorChain) {
 TEST(Step, AlphaVarCollisionThrows) {
   Manager mgr(5);
   const Bdd f = mgr.var(0) ^ mgr.var(1) ^ mgr.var(2);
-  const auto spec = make_spec(mgr, f, mgr.zero(), {0, 1}, {2});
+  const auto spec = make_spec(mgr, f, mgr.zero(), {0, 1});
   const auto classes = compute_compatible_classes(spec);
-  EXPECT_THROW(build_step(mgr, classes, spec.bound, spec.free,
+  EXPECT_THROW(build_step(mgr, classes, spec.bound, {2},
                           identity_encoding(classes.num_classes()), {2}),
                std::invalid_argument);
 }
@@ -91,10 +90,10 @@ TEST(Step, UnusedCodesAreDontCare) {
   // f with exactly 3 classes for bound {0,1}: patterns 0, x2, !x2.
   const Bdd f = (mgr.var(0) & ~mgr.var(1) & mgr.var(2)) |
                 (mgr.var(1) & ~mgr.var(0) & ~mgr.var(2));
-  const auto spec = make_spec(mgr, f, mgr.zero(), {0, 1}, {2});
+  const auto spec = make_spec(mgr, f, mgr.zero(), {0, 1});
   const auto classes = compute_compatible_classes(spec);
   ASSERT_EQ(classes.num_classes(), 3);
-  const auto step = build_step(mgr, classes, spec.bound, spec.free,
+  const auto step = build_step(mgr, classes, spec.bound, {2},
                                identity_encoding(3), {4, 5});
   // The unused code 3 (alpha vars 4,5 both 1) must be fully DC.
   const Bdd unused = mgr.var(4) & mgr.var(5);
@@ -106,7 +105,7 @@ TEST(Step, AllStrictEncodingsVerify) {
   // Any permutation of codes must produce a correct decomposition.
   Manager mgr(8);
   const Bdd f = (mgr.var(0) & mgr.var(1)) ^ (mgr.var(2) | mgr.var(3));
-  const auto spec = make_spec(mgr, f, mgr.zero(), {0, 1}, {2, 3});
+  const auto spec = make_spec(mgr, f, mgr.zero(), {0, 1});
   const auto classes = compute_compatible_classes(spec);
   const int n = classes.num_classes();
   ASSERT_GE(n, 2);
@@ -114,7 +113,7 @@ TEST(Step, AllStrictEncodingsVerify) {
     const Encoding enc = random_encoding(n, seed);
     std::vector<int> alpha_vars;
     for (int j = 0; j < enc.num_bits; ++j) alpha_vars.push_back(4 + j);
-    const auto step = build_step(mgr, classes, spec.bound, spec.free, enc,
+    const auto step = build_step(mgr, classes, spec.bound, {2, 3}, enc,
                                  alpha_vars);
     EXPECT_TRUE(verify_step(mgr, spec.f, step)) << "seed " << seed;
   }
@@ -129,13 +128,13 @@ TEST(Step, IncompletelySpecifiedVerifies) {
     const Bdd dc = mgr.from_truth_table(TruthTable::from_lambda(
                        6, [&rng](std::uint64_t) { return (rng() % 3) == 0; })) &
                    ~on;
-    const auto spec = make_spec(mgr, on, dc, {0, 1, 2}, {3, 4, 5});
+    const auto spec = make_spec(mgr, on, dc, {0, 1, 2});
     const auto classes = compute_compatible_classes(spec);
     const Encoding enc = random_encoding(classes.num_classes(), trial);
     std::vector<int> alpha_vars;
     for (int j = 0; j < enc.num_bits; ++j) alpha_vars.push_back(6 + j);
     const auto step =
-        build_step(mgr, classes, spec.bound, spec.free, enc, alpha_vars);
+        build_step(mgr, classes, spec.bound, {3, 4, 5}, enc, alpha_vars);
     EXPECT_TRUE(verify_step(mgr, spec.f, step)) << "trial " << trial;
     // Don't-care merging must never *increase* the alpha count versus
     // treating distinct columns as classes.
@@ -147,9 +146,9 @@ TEST(Step, IncompletelySpecifiedVerifies) {
 TEST(Step, VerifyRejectsWrongAlpha) {
   Manager mgr(6);
   const Bdd f = mgr.var(0) ^ mgr.var(1) ^ mgr.var(2);
-  const auto spec = make_spec(mgr, f, mgr.zero(), {0, 1}, {2});
+  const auto spec = make_spec(mgr, f, mgr.zero(), {0, 1});
   const auto classes = compute_compatible_classes(spec);
-  auto step = build_step(mgr, classes, spec.bound, spec.free,
+  auto step = build_step(mgr, classes, spec.bound, {2},
                          identity_encoding(2), {4});
   ASSERT_TRUE(verify_step(mgr, spec.f, step));
   step.alphas[0] = mgr.var(0);  // corrupt the decomposition function

@@ -1,5 +1,5 @@
-/// Semantic checks of the paper's Theorems 3.1 and 3.2 and of the [2]-style
-/// BDD-cut class counting.
+/// Semantic checks of the paper's Theorems 3.1 and 3.2, and of the column
+/// counting against the truth-table chart as an independent reference.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 
 #include "decomp/compatible.hpp"
 #include "decomp/step.hpp"
-#include "oracles/chart_oracle.hpp"
 #include "tt/truth_table.hpp"
 
 namespace hyde::decomp {
@@ -17,14 +16,27 @@ using hyde::bdd::Bdd;
 using hyde::bdd::Manager;
 using hyde::tt::TruthTable;
 
-DecompSpec make_spec(Manager& mgr, const IsfBdd& f, std::vector<int> bound,
-                     std::vector<int> free) {
+DecompSpec make_spec(Manager& mgr, const IsfBdd& f, std::vector<int> bound) {
   DecompSpec spec;
   spec.mgr = &mgr;
   spec.f = f;
   spec.bound = std::move(bound);
-  spec.free = std::move(free);
   return spec;
+}
+
+/// Checks count_columns, and count_columns_bounded at every threshold,
+/// against a truth-table chart of spec.f.
+void expect_counts_match_table(const DecompSpec& spec, int trial) {
+  TruthTableChart chart;
+  ASSERT_TRUE(chart.load(*spec.mgr, spec.f, 24));
+  const int exact = chart.count_columns(spec.bound, 0).count;
+  EXPECT_EQ(count_columns(spec), exact) << "trial " << trial;
+  for (int t = 1; t <= exact + 1; ++t) {
+    const BoundedCount walk = count_columns_bounded(spec, t);
+    const BoundedCount table = chart.count_columns(spec.bound, t);
+    EXPECT_EQ(walk.count, table.count) << "trial " << trial << " t=" << t;
+    EXPECT_EQ(walk.pruned, table.pruned) << "trial " << trial << " t=" << t;
+  }
 }
 
 TEST(CutCounting, MatchesEnumerationCompletelySpecified) {
@@ -40,9 +52,8 @@ TEST(CutCounting, MatchesEnumerationCompletelySpecified) {
           .push_back(v);
     }
     if (bound.empty()) bound.push_back(free.back()), free.pop_back();
-    const auto spec = make_spec(mgr, IsfBdd{f, mgr.zero()}, bound, free);
-    EXPECT_EQ(count_columns(spec), count_columns_recursive(spec))
-        << "trial " << trial;
+    expect_counts_match_table(make_spec(mgr, IsfBdd{f, mgr.zero()}, bound),
+                              trial);
   }
 }
 
@@ -56,18 +67,15 @@ TEST(CutCounting, MatchesEnumerationWithDontCares) {
     const Bdd dc = mgr.from_truth_table(TruthTable::from_lambda(
                        n, [&rng](std::uint64_t) { return (rng() % 4) == 0; })) &
                    ~on;
-    const auto spec = make_spec(mgr, IsfBdd{on, dc}, {0, 2, 4}, {1, 3, 5});
-    EXPECT_EQ(count_columns(spec), count_columns_recursive(spec))
-        << "trial " << trial;
+    expect_counts_match_table(make_spec(mgr, IsfBdd{on, dc}, {0, 2, 4}),
+                              trial);
   }
 }
 
 TEST(CutCounting, NonContiguousBoundSets) {
   Manager mgr(8);
   const Bdd f = (mgr.var(7) & mgr.var(0)) ^ (mgr.var(3) | mgr.var(5));
-  const auto spec =
-      make_spec(mgr, IsfBdd{f, mgr.zero()}, {0, 7}, {1, 2, 3, 4, 5, 6});
-  EXPECT_EQ(count_columns(spec), count_columns_recursive(spec));
+  expect_counts_match_table(make_spec(mgr, IsfBdd{f, mgr.zero()}, {0, 7}), 0);
 }
 
 TEST(Theorem31, EncodingIrrelevantWhenAlphasStayTogether) {
@@ -79,8 +87,7 @@ TEST(Theorem31, EncodingIrrelevantWhenAlphasStayTogether) {
     Manager mgr(16);
     const Bdd f = mgr.from_truth_table(TruthTable::from_lambda(
         7, [&rng](std::uint64_t) { return (rng() % 3) == 0; }));
-    const auto spec =
-        make_spec(mgr, IsfBdd{f, mgr.zero()}, {0, 1, 2}, {3, 4, 5, 6});
+    const auto spec = make_spec(mgr, IsfBdd{f, mgr.zero()}, {0, 1, 2});
     const auto classes = compute_compatible_classes(spec);
     if (classes.num_classes() < 3) continue;
     const int t = classes.code_bits();
@@ -97,22 +104,12 @@ TEST(Theorem31, EncodingIrrelevantWhenAlphasStayTogether) {
     for (std::uint64_t seed = 0; seed < 6; ++seed) {
       const Encoding enc = random_encoding(classes.num_classes(), seed);
       const auto step =
-          build_step(mgr, classes, spec.bound, spec.free, enc, alpha_vars);
+          build_step(mgr, classes, spec.bound, {3, 4, 5, 6}, enc, alpha_vars);
       for (const std::vector<int>* lambda : {&lambda_all_const, &lambda_none}) {
         DecompSpec next;
         next.mgr = &mgr;
         next.f = step.image;
         next.bound = *lambda;
-        for (int v : spec.free) {
-          if (std::find(lambda->begin(), lambda->end(), v) == lambda->end()) {
-            next.free.push_back(v);
-          }
-        }
-        for (int v : alpha_vars) {
-          if (std::find(lambda->begin(), lambda->end(), v) == lambda->end()) {
-            next.free.push_back(v);
-          }
-        }
         (lambda == &lambda_all_const ? counts_all : counts_none)
             .push_back(count_compatible_classes(next));
       }
@@ -135,8 +132,7 @@ TEST(Theorem32, ExactRowColumnCodesIrrelevant) {
     Manager mgr(16);
     const Bdd f = mgr.from_truth_table(TruthTable::from_lambda(
         7, [&rng](std::uint64_t) { return (rng() & 1) != 0; }));
-    const auto spec =
-        make_spec(mgr, IsfBdd{f, mgr.zero()}, {0, 1, 2}, {3, 4, 5, 6});
+    const auto spec = make_spec(mgr, IsfBdd{f, mgr.zero()}, {0, 1, 2});
     const auto classes = compute_compatible_classes(spec);
     if (classes.num_classes() != 4) continue;  // want a full 2x2 chart
     const std::vector<int> alpha_vars{10, 11};  // bit0 = column, bit1 = row
@@ -153,12 +149,11 @@ TEST(Theorem32, ExactRowColumnCodesIrrelevant) {
         enc.codes[static_cast<std::size_t>(i)] = col | (row << 1);
       }
       const auto step =
-          build_step(mgr, classes, spec.bound, spec.free, enc, alpha_vars);
+          build_step(mgr, classes, spec.bound, {3, 4, 5, 6}, enc, alpha_vars);
       DecompSpec next;
       next.mgr = &mgr;
       next.f = step.image;
-      next.bound = {10, 3, 4};  // column α bit + Y1
-      next.free = {11, 5, 6};
+      next.bound = {10, 3, 4};  // column α bit + Y1; free: {11, 5, 6}
       return count_compatible_classes(next);
     };
     const int base = build_count(false, false);
@@ -177,8 +172,7 @@ TEST(Theorem32, GroupingItselfMattersOnExample31Instance) {
   const Bdd a = mgr.var(0), b = mgr.var(1);
   const Bdd x = mgr.var(3), y = mgr.var(4), z = mgr.var(5);
   const Bdd f = (~a & ~b & (x & y)) | ((a ^ b) & (x ^ y ^ z)) | (a & b & z);
-  const auto spec =
-      make_spec(mgr, IsfBdd{f, mgr.zero()}, {0, 1, 2}, {3, 4, 5});
+  const auto spec = make_spec(mgr, IsfBdd{f, mgr.zero()}, {0, 1, 2});
   const auto classes = compute_compatible_classes(spec);
   ASSERT_EQ(classes.num_classes(), 3);
   const std::vector<int> alpha_vars{10, 11};
@@ -189,12 +183,11 @@ TEST(Theorem32, GroupingItselfMattersOnExample31Instance) {
     enc.num_bits = 2;
     enc.codes = {codes[0], codes[1], codes[2]};
     const auto step =
-        build_step(mgr, classes, spec.bound, spec.free, enc, alpha_vars);
+        build_step(mgr, classes, spec.bound, {3, 4, 5}, enc, alpha_vars);
     DecompSpec next;
     next.mgr = &mgr;
     next.f = step.image;
-    next.bound = {10, 3, 4};
-    next.free = {11, 5};
+    next.bound = {10, 3, 4};  // free: {11, 5}
     const int count = count_compatible_classes(next);
     lo = std::min(lo, count);
     hi = std::max(hi, count);

@@ -1,4 +1,4 @@
-#include "decomp/varpart.hpp"
+#include "decomp/search.hpp"
 
 #include <gtest/gtest.h>
 
@@ -23,7 +23,8 @@ TEST(VarPartition, FindsPerfectBoundSetForTwoBlockFunction) {
   VarPartitionOptions options;
   options.bound_size = 3;
   const auto result =
-      select_bound_set(mgr, IsfBdd{f, mgr.zero()}, mgr.support(f), options);
+      BoundSetSearch(mgr).select(IsfBdd{f, mgr.zero()}, mgr.support(f),
+                                 options);
   ASSERT_TRUE(result.success);
   EXPECT_EQ(result.num_classes, 2);
   EXPECT_EQ(result.code_bits(), 1);
@@ -42,7 +43,8 @@ TEST(VarPartition, RespectsAvoidList) {
   options.bound_size = 3;
   options.avoid = {0, 1, 2};
   const auto result =
-      select_bound_set(mgr, IsfBdd{f, mgr.zero()}, mgr.support(f), options);
+      BoundSetSearch(mgr).select(IsfBdd{f, mgr.zero()}, mgr.support(f),
+                                 options);
   ASSERT_TRUE(result.success);
   // The avoided variables stay in the free set (enough others exist).
   for (int v : {0, 1, 2}) {
@@ -59,7 +61,8 @@ TEST(VarPartition, AvoidedVariablesUsedOnlyWhenNecessary) {
   options.bound_size = 3;
   options.avoid = {0, 1};  // only 2 non-avoided variables remain
   const auto result =
-      select_bound_set(mgr, IsfBdd{f, mgr.zero()}, mgr.support(f), options);
+      BoundSetSearch(mgr).select(IsfBdd{f, mgr.zero()}, mgr.support(f),
+                                 options);
   ASSERT_TRUE(result.success);
   // Bound set must contain both preferred vars and exactly one avoided var.
   int avoided_used = 0;
@@ -75,7 +78,8 @@ TEST(VarPartition, FailsWhenBoundLargerThanSupport) {
   VarPartitionOptions options;
   options.bound_size = 3;
   const auto result =
-      select_bound_set(mgr, IsfBdd{f, mgr.zero()}, mgr.support(f), options);
+      BoundSetSearch(mgr).select(IsfBdd{f, mgr.zero()}, mgr.support(f),
+                                 options);
   EXPECT_FALSE(result.success);
 }
 
@@ -94,12 +98,12 @@ TEST(VarPartition, NontrivialityConstraint) {
   VarPartitionOptions strict_options;
   strict_options.bound_size = 2;
   strict_options.require_nontrivial = true;
-  const auto strict = select_bound_set(mgr, IsfBdd{f, mgr.zero()},
-                                       mgr.support(f), strict_options);
+  const auto strict = BoundSetSearch(mgr).select(
+      IsfBdd{f, mgr.zero()}, mgr.support(f), strict_options);
   VarPartitionOptions loose_options = strict_options;
   loose_options.require_nontrivial = false;
-  const auto loose = select_bound_set(mgr, IsfBdd{f, mgr.zero()},
-                                      mgr.support(f), loose_options);
+  const auto loose = BoundSetSearch(mgr).select(
+      IsfBdd{f, mgr.zero()}, mgr.support(f), loose_options);
   ASSERT_TRUE(loose.success);
   // Consistency: strict succeeds iff the best bound set found is nontrivial.
   EXPECT_EQ(strict.success, loose.code_bits() < 2);
@@ -115,7 +119,8 @@ TEST(VarPartition, GreedyNeverWorseThanWorstCase) {
     options.bound_size = 3;
     options.require_nontrivial = false;
     const auto result =
-        select_bound_set(mgr, IsfBdd{f, mgr.zero()}, mgr.support(f), options);
+        BoundSetSearch(mgr).select(IsfBdd{f, mgr.zero()}, mgr.support(f),
+                                 options);
     ASSERT_TRUE(result.success);
     EXPECT_LE(result.num_classes, 8);  // can never exceed 2^|bound|
     EXPECT_GE(result.num_classes, 1);
@@ -129,8 +134,8 @@ TEST(VarPartition, OversizedBoundThrows) {
   options.bound_size = kMaxBoundVars + 1;
   std::vector<int> support(kMaxBoundVars + 2);
   for (std::size_t i = 0; i < support.size(); ++i) support[i] = static_cast<int>(i);
-  EXPECT_THROW(select_bound_set(mgr, IsfBdd{mgr.zero(), mgr.zero()}, support,
-                                options),
+  EXPECT_THROW(BoundSetSearch(mgr).select(IsfBdd{mgr.zero(), mgr.zero()},
+                                          support, options),
                std::invalid_argument);
 }
 

@@ -182,11 +182,10 @@ TEST(Containment, AlphasOfContainingPartitionServeContained) {
   spec_b.mgr = &mgr;
   spec_b.f = decomp::IsfBdd{fb, mgr.zero()};
   spec_b.bound = {0, 1};
-  spec_b.free = {4, 5};
   const auto classes_b = decomp::compute_compatible_classes(spec_b);
   ASSERT_EQ(classes_b.num_classes(), 3);
   const auto step_b = decomp::build_step(
-      mgr, classes_b, spec_b.bound, spec_b.free,
+      mgr, classes_b, spec_b.bound, {4, 5},
       decomp::identity_encoding(3), {6, 7});
   // For every pair of bound minterms with equal α values, fa's cofactors
   // must coincide.

@@ -78,11 +78,7 @@ ClassResult compute_compatible_classes_bdd(const DecompSpec& spec,
                                            ClassStats* stats) {
   bdd::Manager& mgr = *spec.mgr;
   ClassResult result;
-  // Class construction needs patterns and indicators but never the raw
-  // minterm lists — skip the only Θ(2^|bound|) part of chart building.
-  DecompSpec chart_spec = spec;
-  chart_spec.include_minterms = false;
-  result.columns = enumerate_columns(chart_spec);
+  result.columns = enumerate_columns(spec);
   const int n = static_cast<int>(result.columns.size());
 
   std::vector<std::vector<int>> groups;
@@ -98,7 +94,7 @@ ClassResult compute_compatible_classes_bdd(const DecompSpec& spec,
     const std::uint64_t pairs =
         static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n > 0 ? n - 1 : 0) / 2;
     const std::vector<ColumnSignature> sigs =
-        column_signatures(chart_spec, result.columns);
+        column_signatures(spec, result.columns);
     if (!sigs.empty()) {
       fill_adjacency_from_signatures(sigs, &adjacent);
       if (stats != nullptr) stats->signature_pairs += pairs;

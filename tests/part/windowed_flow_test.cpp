@@ -1,9 +1,12 @@
 /// Windowed decomposition engine: end-to-end equivalence on every registry
 /// circuit across window budgets, bit-identical results at every thread
-/// count, and graceful budget fallbacks.
+/// count, graceful budget fallbacks, and a node too wide for the
+/// truth-table chart.
 
 #include "part/windowed.hpp"
 
+#include <cstdint>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -228,6 +231,55 @@ TEST(WindowedFlowTest, WindowCountersAreThreadInvariant) {
   EXPECT_EQ(one.stats.window_peak_nodes, four.stats.window_peak_nodes);
   EXPECT_EQ(net::write_blif_string(one.network),
             net::write_blif_string(four.network));
+}
+
+/// One node over \p inputs primary inputs whose cover is \p cubes random
+/// cubes of 4 to 8 literals (the shape of tests/data/sn22.blif).
+net::Network wide_single_node(int inputs, int cubes, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::string names;
+  for (int i = 0; i < inputs; ++i) {
+    names.append(" x").append(std::to_string(i));
+  }
+  std::string blif = std::string(".model wide\n.inputs").append(names);
+  blif.append("\n.outputs f\n.names").append(names).append(" f\n");
+  for (int c = 0; c < cubes; ++c) {
+    std::string cube(static_cast<std::size_t>(inputs), '-');
+    const int literals = 4 + static_cast<int>(rng() % 5);
+    for (int placed = 0; placed < literals;) {
+      char& slot = cube[rng() % static_cast<std::uint64_t>(inputs)];
+      if (slot != '-') continue;
+      slot = (rng() & 1) != 0 ? '1' : '0';
+      ++placed;
+    }
+    blif.append(cube).append(" 1\n");
+  }
+  blif.append(".end\n");
+  return net::read_blif_string(blif);
+}
+
+TEST(WindowedFlowTest, WideSingleNodeTakesTheCofactorWalk) {
+  // 19 inputs: the node's window exceeds kTruthTableChartMaxVars, so the
+  // bound-set search counts some of its candidates by the cofactor walk.
+  const net::Network input = wide_single_node(19, 12, 19);
+  WindowedFlowOptions options;
+  options.flow = baseline::system_flow_options(baseline::System::kHyde, 5);
+  std::string reference_blif;
+  for (int threads : {1, 2}) {
+    options.threads = threads;
+    const baseline::BaselineResult result =
+        baseline::run_windowed_system(input, options);
+    EXPECT_TRUE(result.verified) << threads << " threads";
+    EXPECT_GT(result.stats.search_candidates_tt, 0u);
+    EXPECT_LT(result.stats.search_candidates_tt,
+              result.stats.search_candidates_evaluated);
+    const std::string blif = net::write_blif_string(result.network);
+    if (threads == 1) {
+      reference_blif = blif;
+    } else {
+      EXPECT_EQ(blif, reference_blif);
+    }
+  }
 }
 
 }  // namespace
