@@ -508,15 +508,16 @@ void print_result(const Config& c, const std::string& name,
 void print_profile(const core::FlowStats& stats, const char* indent) {
   std::printf(
       "%svarpart %.3fs (selects %llu, evaluated %llu, pruned %llu, "
-      "truth-table %llu) | classes %.3fs | encoding %.3fs | "
-      "mapping %.3fs | pack %.3fs | verify %.3fs\n",
+      "truth-table %llu) | classes %.3fs | support %.3fs (widest %d) | "
+      "encoding %.3fs | mapping %.3fs | pack %.3fs | verify %.3fs\n",
       indent, stats.varpart_seconds,
       static_cast<unsigned long long>(stats.search_selects),
       static_cast<unsigned long long>(stats.search_candidates_evaluated),
       static_cast<unsigned long long>(stats.search_candidates_pruned),
       static_cast<unsigned long long>(stats.search_candidates_tt),
-      stats.classes_seconds, stats.encoding_seconds, stats.mapping_seconds,
-      stats.pack_seconds, stats.verify_seconds);
+      stats.classes_seconds, stats.support_seconds, stats.max_support,
+      stats.encoding_seconds, stats.mapping_seconds, stats.pack_seconds,
+      stats.verify_seconds);
 }
 
 int run_batch_mode(const Config& c) {
@@ -556,14 +557,15 @@ int run_batch_mode(const Config& c) {
   }
   if (c.profile) {
     std::printf("\nsearch engine: %llu selects, %llu candidates evaluated "
-                "(%llu on truth tables), %llu pruned\n",
+                "(%llu on truth tables), %llu pruned, widest support %d\n",
                 static_cast<unsigned long long>(report.totals.search_selects),
                 static_cast<unsigned long long>(
                     report.totals.search_candidates_evaluated),
                 static_cast<unsigned long long>(
                     report.totals.search_candidates_tt),
                 static_cast<unsigned long long>(
-                    report.totals.search_candidates_pruned));
+                    report.totals.search_candidates_pruned),
+                report.totals.max_support);
   }
   std::printf("\n%zu jobs in %.2fs wall on %d workers\n", report.jobs.size(),
               report.wall_seconds, report.workers);

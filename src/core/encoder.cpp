@@ -558,10 +558,7 @@ EncodingChoice encode_functions(bdd::Manager& mgr,
       decomp::build_image(mgr, functions, random_enc, alpha_vars);
 
   // Step 2: if g' is already κ-feasible any encoding does.
-  std::set<int> support_set;
-  for (int v : mgr.support(g_trial.on)) support_set.insert(v);
-  for (int v : mgr.support(g_trial.dc)) support_set.insert(v);
-  const std::vector<int> support(support_set.begin(), support_set.end());
+  const std::vector<int> support = decomp::isf_support(mgr, g_trial);
   if (static_cast<int>(support.size()) <= options.k) {
     choice.trace.trivially_feasible = true;
     return choice;

@@ -97,8 +97,13 @@ class Decomposer {
 
   /// Decomposes f into k-feasible nodes; returns the root node.
   net::NodeId decompose(IsfBdd f, std::vector<int> preferred = {}) {
-    f = reduce_support(f);
-    const std::vector<int> support = isf_support(f);
+    const auto support_start = std::chrono::steady_clock::now();
+    decomp::ReducedIsf reduced = decomp::reduce_support(gm_, std::move(f));
+    stats_.support_seconds += seconds_since(support_start);
+    f = std::move(reduced.f);
+    const std::vector<int>& support = reduced.support;
+    stats_.max_support =
+        std::max(stats_.max_support, static_cast<int>(support.size()));
     if (static_cast<int>(support.size()) <= options_.k) {
       return leaf(f, support);
     }
@@ -355,33 +360,6 @@ class Decomposer {
       }
     }
     return result;
-  }
-
-  std::vector<int> isf_support(const IsfBdd& f) {
-    std::set<int> vars;
-    for (int v : gm_.support(f.on)) vars.insert(v);
-    for (int v : gm_.support(f.dc)) vars.insert(v);
-    return {vars.begin(), vars.end()};
-  }
-
-  /// Drops every variable whose two cofactors are compatible (the ISF does
-  /// not need to depend on it), merging the cofactors.
-  IsfBdd reduce_support(IsfBdd f) {
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (int v : isf_support(f)) {
-        const IsfBdd f0{gm_.cofactor(f.on, v, false), gm_.cofactor(f.dc, v, false)};
-        const IsfBdd f1{gm_.cofactor(f.on, v, true), gm_.cofactor(f.dc, v, true)};
-        if (decomp::columns_compatible(gm_, f0, f1)) {
-          const bdd::Bdd on = f0.on | f1.on;
-          const bdd::Bdd care = f0.on | f0.off() | f1.on | f1.off();
-          f = IsfBdd{on, ~care};
-          changed = true;
-        }
-      }
-    }
-    return f;
   }
 
   /// Materializes a ≤k-support function as one LUT node (don't cares are

@@ -121,6 +121,9 @@ struct FlowStats {
   std::uint64_t search_candidates_evaluated = 0;
   std::uint64_t search_candidates_pruned = 0;
   std::uint64_t search_candidates_tt = 0;  ///< counted on truth tables
+  /// Widest support of a function handed to a decomposition step, after
+  /// support reduction.
+  int max_support = 0;
 
   // Class computation (decomp/compatible.hpp): which compatibility test
   // decided a column pair.
@@ -147,13 +150,15 @@ struct FlowStats {
   int window_max_index = -1;        ///< extraction index of that window
 
   // Per-phase wall clock. varpart is the bound-set search engine's
-  // self-timed total, classes covers compatible-class computation, encoding
+  // self-timed total, classes covers compatible-class computation, support
+  // covers the support reduction that opens each decomposition step, encoding
   // is encoder wall time net of the nested bound-set searches it triggers,
   // mapping is filled in by the baseline mapper after the flow proper. pack
   // (XC3000 CLB packing) and verify (the equivalence check) are filled in by
   // the baseline runner and lie outside BaselineResult::seconds.
   double varpart_seconds = 0.0;
   double classes_seconds = 0.0;
+  double support_seconds = 0.0;
   double encoding_seconds = 0.0;
   double mapping_seconds = 0.0;
   double pack_seconds = 0.0;
@@ -243,6 +248,7 @@ inline constexpr auto kFlowFields = [] {
       FlowField{&S::search_candidates_pruned, "candidates_pruned", kSearch,
                 kSum},
       FlowField{&S::search_candidates_tt, "candidates_tt", kSearch, kSum},
+      FlowField{&S::max_support, "max_support", kSearch, kMax},
       FlowField{&S::class_signature_pairs, "signature_pairs", kClasses, kSum},
       FlowField{&S::class_bdd_pairs, "bdd_pairs", kClasses, kSum},
       FlowField{&S::windows_extracted, "extracted", kWindows, kSum},
@@ -270,6 +276,7 @@ inline constexpr auto kFlowFields = [] {
       FlowField{&S::window_max_index, "max_window_index", kWindows, kKeep},
       FlowField{&S::varpart_seconds, "varpart_seconds", kProfile, kSum},
       FlowField{&S::classes_seconds, "classes_seconds", kProfile, kSum},
+      FlowField{&S::support_seconds, "support_seconds", kProfile, kSum},
       FlowField{&S::encoding_seconds, "encoding_seconds", kProfile, kSum},
       FlowField{&S::mapping_seconds, "mapping_seconds", kProfile, kSum},
       FlowField{&S::pack_seconds, "pack_seconds", kProfile, kSum},

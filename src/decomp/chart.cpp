@@ -97,13 +97,19 @@ std::uint64_t block_hash(const std::uint64_t* on, const std::uint64_t* dc,
 
 }  // namespace
 
-bool TruthTableChart::load(bdd::Manager& mgr, const IsfBdd& f, int max_vars) {
-  loaded_ = false;
-  const std::vector<int> on_vars = mgr.support(f.on);
+std::vector<int> isf_support(bdd::Manager& mgr, const IsfBdd& f) {
+  std::vector<int> on_vars = mgr.support(f.on);
+  if (f.dc.is_zero()) return on_vars;
   const std::vector<int> dc_vars = mgr.support(f.dc);
   std::vector<int> both;
   std::set_union(on_vars.begin(), on_vars.end(), dc_vars.begin(),
                  dc_vars.end(), std::back_inserter(both));
+  return both;
+}
+
+bool TruthTableChart::load(bdd::Manager& mgr, const IsfBdd& f, int max_vars) {
+  loaded_ = false;
+  std::vector<int> both = isf_support(mgr, f);
   if (static_cast<int>(both.size()) > max_vars) return false;
   num_vars_ = static_cast<int>(both.size());
   on_ = mgr.to_truth_table(f.on, both).words();

@@ -41,6 +41,10 @@ struct IsfBdd {
   bdd::Bdd off() const { return ~(on | dc); }
 };
 
+/// The variables f.on or f.dc depends on, ascending. A completely specified
+/// f (dc = 0) takes the support of f.on alone.
+std::vector<int> isf_support(bdd::Manager& mgr, const IsfBdd& f);
+
 /// A decomposition problem instance: which function, which bound set. Every
 /// other variable of f is free (a chart row variable).
 struct DecompSpec {

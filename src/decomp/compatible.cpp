@@ -120,6 +120,28 @@ bool columns_compatible(bdd::Manager& mgr, const IsfBdd& a, const IsfBdd& b) {
   return mgr.disjoint(a.on, b.off()) && mgr.disjoint(b.on, a.off());
 }
 
+ReducedIsf reduce_support(bdd::Manager& mgr, IsfBdd f) {
+  if (f.dc.is_zero()) return {f, mgr.support(f.on)};
+  std::vector<int> support;
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    // The pass that drops nothing leaves f as this support describes it.
+    support = isf_support(mgr, f);
+    for (int v : support) {
+      const IsfBdd f0{mgr.cofactor(f.on, v, false), mgr.cofactor(f.dc, v, false)};
+      const IsfBdd f1{mgr.cofactor(f.on, v, true), mgr.cofactor(f.dc, v, true)};
+      if (columns_compatible(mgr, f0, f1)) {
+        const bdd::Bdd on = f0.on | f1.on;
+        const bdd::Bdd care = f0.on | f0.off() | f1.on | f1.off();
+        f = IsfBdd{on, ~care};
+        changed = true;
+      }
+    }
+  }
+  return {f, std::move(support)};
+}
+
 IsfBdd merge_columns(bdd::Manager& mgr, const std::vector<Column>& columns,
                      const std::vector<int>& members) {
   bdd::Bdd on = mgr.zero();

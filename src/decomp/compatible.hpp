@@ -108,6 +108,19 @@ ClassResult build_classes(bdd::Manager& mgr, const ChartLayout& layout,
 /// True iff two column patterns agree on their common care set.
 bool columns_compatible(bdd::Manager& mgr, const IsfBdd& a, const IsfBdd& b);
 
+/// An ISF and its support (isf_support of the function).
+struct ReducedIsf {
+  IsfBdd f;
+  std::vector<int> support;
+};
+
+/// Drops every variable whose two cofactors are compatible (the ISF does
+/// not need to depend on it), merging the cofactors, and repeats until no
+/// variable drops. Only don't cares can make the cofactors of a support
+/// variable compatible, so a completely specified f is returned as it is,
+/// with the support of f.on.
+ReducedIsf reduce_support(bdd::Manager& mgr, IsfBdd f);
+
 /// Merges a set of pairwise-compatible columns into one class function:
 /// onset is the union of onsets, don't-care set shrinks to the positions no
 /// member cares about.
