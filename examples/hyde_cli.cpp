@@ -19,6 +19,8 @@
 #include <utility>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "baseline/flows.hpp"
 #include "core/flow.hpp"
 #include "mapper/lutmap.hpp"
@@ -520,6 +522,13 @@ void print_profile(const core::FlowStats& stats, const char* indent) {
       stats.verify_seconds);
 }
 
+/// Process-wide peak resident set in MB (volatile: --profile output only).
+double peak_rss_mb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
+
 int run_batch_mode(const Config& c) {
   std::vector<baseline::System> systems;
   for (const auto& entry : c.systems()) systems.push_back(entry.second);
@@ -576,6 +585,7 @@ int run_batch_mode(const Config& c) {
               static_cast<unsigned long long>(report.cache.hits),
               static_cast<unsigned long long>(report.cache.misses),
               100.0 * report.cache.hit_rate());
+  if (c.profile) std::printf("peak RSS %.1f MB\n", peak_rss_mb());
 
   const bool written =
       write_output(c.json_path,
@@ -626,8 +636,9 @@ int run_windowed_mode(const Config& c) {
   }
   if (c.profile) {
     print_profile(stats, "  ");
-    std::printf("  extract %.3fs | stitch %.3fs\n",
-                stats.window_extract_seconds, stats.window_stitch_seconds);
+    std::printf("  extract %.3fs | stitch %.3fs | peak RSS %.1f MB\n",
+                stats.window_extract_seconds, stats.window_stitch_seconds,
+                peak_rss_mb());
   }
   if (!write_network(c, result.network)) return 1;
   return (c.verify && !result.verified) ? 1 : 0;

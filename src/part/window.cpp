@@ -109,6 +109,37 @@ void finish_window(const net::Network& host, const FanoutInfo& fanout,
   }
 }
 
+/// Captures \p members of \p host (topological; each fanin one of \p inputs
+/// or an earlier member) as plain data, with \p roots as its POs.
+WindowSnapshot capture(const net::Network& host, std::string model_name,
+                       const std::vector<net::NodeId>& inputs,
+                       const std::vector<net::NodeId>& members,
+                       const std::vector<net::Output>& roots) {
+  WindowSnapshot out;
+  out.model_name = std::move(model_name);
+  std::unordered_map<net::NodeId, int> signal_index;
+  out.input_names.reserve(inputs.size());
+  for (net::NodeId i : inputs) {
+    signal_index.emplace(i, static_cast<int>(signal_index.size()));
+    out.input_names.push_back(host.node(i).name);
+  }
+  out.members.reserve(members.size());
+  for (net::NodeId m : members) {
+    const net::Node& n = host.node(m);
+    WindowSnapshot::Member member;
+    member.name = n.name;
+    member.fanins.reserve(n.fanins.size());
+    for (net::NodeId f : n.fanins) member.fanins.push_back(signal_index.at(f));
+    member.function = host.local_tt(m);
+    signal_index.emplace(m, static_cast<int>(signal_index.size()));
+    out.members.push_back(std::move(member));
+  }
+  for (const net::Output& r : roots) {
+    out.roots.push_back({r.name, signal_index.at(r.driver)});
+  }
+  return out;
+}
+
 }  // namespace
 
 std::vector<int> levelize(const net::Network& network) {
@@ -279,33 +310,20 @@ bool snapshot_window(const net::Network& host, const Window& window,
       return false;
     }
   }
-  out->model_name = host.model_name() + "_w" + std::to_string(window.index);
-  out->input_names.clear();
-  out->members.clear();
-  out->roots.clear();
-  std::unordered_map<net::NodeId, int> signal_index;
-  out->input_names.reserve(window.inputs.size());
-  for (net::NodeId i : window.inputs) {
-    signal_index.emplace(i, static_cast<int>(signal_index.size()));
-    out->input_names.push_back(host.node(i).name);
-  }
-  out->members.reserve(window.members.size());
-  for (net::NodeId m : window.members) {
-    const net::Node& n = host.node(m);
-    WindowSnapshot::Member member;
-    member.name = n.name;
-    member.fanins.reserve(n.fanins.size());
-    for (net::NodeId f : n.fanins) member.fanins.push_back(signal_index.at(f));
-    member.function = host.local_tt(m);
-    signal_index.emplace(m, static_cast<int>(signal_index.size()));
-    out->members.push_back(std::move(member));
-  }
-  const int num_inputs = static_cast<int>(window.inputs.size());
-  out->roots.reserve(window.roots.size());
-  for (net::NodeId r : window.roots) {
-    out->roots.push_back(signal_index.at(r) - num_inputs);
-  }
+  std::vector<net::Output> roots;
+  for (net::NodeId r : window.roots) roots.push_back({host.node(r).name, r});
+  *out = capture(host, host.model_name() + "_w" + std::to_string(window.index),
+                 window.inputs, window.members, roots);
   return true;
+}
+
+WindowSnapshot snapshot_network(const net::Network& network) {
+  std::vector<net::NodeId> members;
+  for (net::NodeId id : network.topo_order()) {
+    if (network.node(id).kind == net::NodeKind::kLogic) members.push_back(id);
+  }
+  return capture(network, network.model_name(), network.inputs(), members,
+                 network.outputs());
 }
 
 net::Network materialize_snapshot(const WindowSnapshot& snapshot) {
@@ -324,10 +342,8 @@ net::Network materialize_snapshot(const WindowSnapshot& snapshot) {
     signal_ids.push_back(sub.add_logic_tt(m.name, std::move(fanins),
                                           m.function));
   }
-  const std::size_t num_inputs = snapshot.input_names.size();
-  for (int r : snapshot.roots) {
-    sub.add_output(snapshot.members[static_cast<std::size_t>(r)].name,
-                   signal_ids[num_inputs + static_cast<std::size_t>(r)]);
+  for (const net::Output& r : snapshot.roots) {
+    sub.add_output(r.name, signal_ids[static_cast<std::size_t>(r.driver)]);
   }
   return sub;
 }

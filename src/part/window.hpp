@@ -88,14 +88,15 @@ Window make_window(const net::Network& host, std::vector<net::NodeId> members,
 /// functions, roots become POs named after the host nodes they re-implement.
 net::Network window_subnetwork(const net::Network& host, const Window& window);
 
-/// Self-contained, manager-free capture of a window's standalone
-/// sub-network: boundary names, member wiring and local functions as truth
-/// tables. Plain data — no BDD handles, no reference into the host — so a
-/// snapshot can be materialized on any worker thread without touching the
-/// host network or its (non-atomic-refcount) manager.
+/// Self-contained, manager-free capture of a network: boundary names, member
+/// wiring and local functions as truth tables. Plain data — no BDD handles,
+/// no reference into the source network — so a snapshot can cross threads
+/// and outlive the manager it was read from. The windowed engine ships a
+/// window's sub-network to a worker this way, and the worker's mapped result
+/// back to the stitch.
 struct WindowSnapshot {
   std::string model_name;
-  /// PI names in Window::inputs order.
+  /// PI names (a window's in Window::inputs order).
   std::vector<std::string> input_names;
   struct Member {
     std::string name;
@@ -105,10 +106,11 @@ struct WindowSnapshot {
     /// Local function over the fanins (var i == fanins[i]).
     tt::TruthTable function;
   };
-  /// Members in Window::members (topological) order.
+  /// Members in topological order (a window's in Window::members order).
   std::vector<Member> members;
-  /// PO drivers as member indices, in Window::roots order.
-  std::vector<int> roots;
+  /// POs in output order (a window's in Window::roots order), each driven
+  /// by a signal index: a PI or a member.
+  std::vector<net::Output> roots;
 };
 
 /// Captures \p window as plain data, reading the host's BDDs (serialize
@@ -118,6 +120,11 @@ struct WindowSnapshot {
 /// window_subnetwork instead.
 bool snapshot_window(const net::Network& host, const Window& window,
                      WindowSnapshot* out);
+
+/// Captures a network whose nodes have at most tt::TruthTable::kMaxVars
+/// fanins (a mapped one, say): PIs, live logic in topo_order() and POs, each
+/// in order, so materialize_snapshot rebuilds the same BLIF.
+WindowSnapshot snapshot_network(const net::Network& network);
 
 /// Materializes a snapshot as a standalone network with its own manager —
 /// the same network window_subnetwork builds from the snapshot's source

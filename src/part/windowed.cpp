@@ -7,7 +7,6 @@
 #include <new>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -26,11 +25,13 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 
 /// One stitchable unit: a (possibly split-descendant) window either carrying
 /// its resynthesized sub-network or marked pass-through. The window's ids are
-/// host ids — stitching never needs the worker-side materialization.
+/// host ids, and the mapped sub-network is plain data (PI i is
+/// window.inputs[i]), so a piece holds no BDD manager: each window's manager
+/// dies on its worker, and stitching never needs the worker-side networks.
 struct StitchPiece {
   Window window;
   bool resynthesized = false;
-  net::Network mapped{"unmapped"};
+  WindowSnapshot mapped;
 };
 
 /// Result of resynthesizing one extracted window, possibly as several split
@@ -73,8 +74,7 @@ WindowOutcome resynthesize_half(const net::Network& parent_sub,
   if (!host_half.needs_resynthesis || host_half.roots.empty()) {
     WindowOutcome outcome;
     outcome.stats.windows_passthrough += 1;
-    outcome.pieces.push_back(
-        StitchPiece{std::move(host_half), false, net::Network("unmapped")});
+    outcome.pieces.push_back(StitchPiece{std::move(host_half), false, {}});
     return outcome;
   }
   const net::Network half_sub = window_subnetwork(parent_sub, sub_half);
@@ -159,8 +159,7 @@ WindowOutcome resynthesize_window(const net::Network& sub, Window window,
       return outcome;
     }
     outcome.stats.windows_passthrough += 1;
-    outcome.pieces.push_back(
-        StitchPiece{std::move(window), false, net::Network("unmapped")});
+    outcome.pieces.push_back(StitchPiece{std::move(window), false, {}});
     return outcome;
   }
 
@@ -180,14 +179,20 @@ WindowOutcome resynthesize_window(const net::Network& sub, Window window,
   if (!net::check_equivalence(sub, flow.network).equivalent) {
     outcome.stats.windows_verify_failures += 1;
     outcome.stats.windows_passthrough += 1;
-    outcome.pieces.push_back(
-        StitchPiece{std::move(window), false, net::Network("unmapped")});
+    outcome.pieces.push_back(StitchPiece{std::move(window), false, {}});
     return outcome;
   }
 
+  // The stitch wires the capture's PI i to window.inputs[i].
+  WindowSnapshot mapped = snapshot_network(flow.network);
+  for (std::size_t j = 0; j < mapped.input_names.size(); ++j) {
+    if (sub.find(mapped.input_names[j]) != static_cast<net::NodeId>(j)) {
+      throw std::logic_error("windowed: mapped window reordered its inputs");
+    }
+  }
   outcome.stats.windows_resynthesized += 1;
   outcome.pieces.push_back(
-      StitchPiece{std::move(window), true, std::move(flow.network)});
+      StitchPiece{std::move(window), true, std::move(mapped)});
   return outcome;
 }
 
@@ -200,6 +205,7 @@ WindowOutcome run_window_task(WindowTask& task,
   const auto start = std::chrono::steady_clock::now();
   net::Network sub = task.has_prebuilt ? std::move(task.prebuilt)
                                        : materialize_snapshot(task.snapshot);
+  task.snapshot = WindowSnapshot();
   WindowOutcome outcome =
       resynthesize_window(sub, std::move(task.window), options, 0);
   if (!task.has_prebuilt && on_worker) {
@@ -225,7 +231,6 @@ void stitch_passthrough(const net::Network& host, const Window& window,
     for (std::size_t i = 0; i < var_map.size(); ++i) {
       var_map[i] = static_cast<int>(i);
     }
-    result->manager().ensure_vars(static_cast<int>(n.fanins.size()));
     const std::string name =
         result->find(n.name) == net::kNoNode ? n.name
                                              : result->fresh_name(n.name);
@@ -238,48 +243,33 @@ void stitch_passthrough(const net::Network& host, const Window& window,
 /// Instantiates a resynthesized window's mapped sub-network into the result,
 /// wiring its PIs to the already-stitched boundary signals and registering
 /// its PO drivers as the window roots' new implementations.
-void stitch_resynthesized(const net::Network& host, const StitchPiece& piece,
-                          net::Network* result,
+void stitch_resynthesized(const StitchPiece& piece, net::Network* result,
                           std::vector<net::NodeId>* host_to_result) {
   const Window& window = piece.window;
-  const net::Network& mapped = piece.mapped;
-  std::unordered_map<std::string, net::NodeId> input_by_name;
-  for (net::NodeId i : window.inputs) {
-    input_by_name.emplace(host.node(i).name, i);
-  }
+  const WindowSnapshot& mapped = piece.mapped;
   const std::string prefix =
       std::string("w").append(std::to_string(window.index));
-  std::vector<net::NodeId> mapped_to_result(
-      static_cast<std::size_t>(mapped.num_nodes()), net::kNoNode);
-  for (net::NodeId id : mapped.topo_order()) {
-    const net::Node& n = mapped.node(id);
-    if (n.kind == net::NodeKind::kInput) {
-      const net::NodeId host_id = input_by_name.at(n.name);
-      mapped_to_result[static_cast<std::size_t>(id)] =
-          (*host_to_result)[static_cast<std::size_t>(host_id)];
-      continue;
-    }
+  std::vector<net::NodeId> signals;
+  signals.reserve(mapped.input_names.size() + mapped.members.size());
+  for (std::size_t j = 0; j < mapped.input_names.size(); ++j) {
+    signals.push_back(
+        (*host_to_result)[static_cast<std::size_t>(window.inputs[j])]);
+  }
+  for (const WindowSnapshot::Member& m : mapped.members) {
     std::vector<net::NodeId> fanins;
-    fanins.reserve(n.fanins.size());
-    for (net::NodeId f : n.fanins) {
-      fanins.push_back(mapped_to_result[static_cast<std::size_t>(f)]);
+    fanins.reserve(m.fanins.size());
+    for (int f : m.fanins) {
+      fanins.push_back(signals[static_cast<std::size_t>(f)]);
     }
-    std::vector<int> var_map(n.fanins.size());
-    for (std::size_t i = 0; i < var_map.size(); ++i) {
-      var_map[i] = static_cast<int>(i);
-    }
-    result->manager().ensure_vars(static_cast<int>(n.fanins.size()));
-    mapped_to_result[static_cast<std::size_t>(id)] = result->add_logic(
-        result->fresh_name(prefix), std::move(fanins),
-        bdd::transfer(n.local, result->manager(), var_map));
+    signals.push_back(result->add_logic_tt(result->fresh_name(prefix),
+                                           std::move(fanins), m.function));
   }
   // Sub-network POs were declared in window.roots order by
   // window_subnetwork/materialize_snapshot, and run_flow plus the mapper
   // preserve output order.
   for (std::size_t j = 0; j < window.roots.size(); ++j) {
     (*host_to_result)[static_cast<std::size_t>(window.roots[j])] =
-        mapped_to_result[static_cast<std::size_t>(
-            mapped.outputs()[j].driver)];
+        signals[static_cast<std::size_t>(mapped.roots[j].driver)];
   }
 }
 
@@ -314,8 +304,7 @@ WindowedFlowResult run_windowed_flow(const net::Network& input,
     const Window& w = windows[i];
     if (!w.needs_resynthesis || w.roots.empty()) {
       outcomes[i].stats.windows_passthrough += 1;
-      outcomes[i].pieces.push_back(
-          StitchPiece{w, false, net::Network("unmapped")});
+      outcomes[i].pieces.push_back(StitchPiece{w, false, {}});
       continue;
     }
     WindowTask task;
@@ -393,7 +382,7 @@ WindowedFlowResult run_windowed_flow(const net::Network& input,
     }
     for (const StitchPiece& piece : outcome.pieces) {
       if (piece.resynthesized) {
-        stitch_resynthesized(input, piece, &out, &host_to_result);
+        stitch_resynthesized(piece, &out, &host_to_result);
       } else {
         stitch_passthrough(input, piece.window, &out, &host_to_result);
       }

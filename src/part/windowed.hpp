@@ -5,9 +5,9 @@
 /// `run_windowed_flow` partitions the host network into convex windows
 /// (window.hpp), runs the existing decomposition flow (`core::run_flow`) on
 /// each window that contains wide nodes — every window gets its own
-/// `bdd::Manager` via its standalone sub-network, shared-nothing — and
-/// stitches the per-window results back together in a deterministic,
-/// topological-order merge. A single up-front extraction pass captures every
+/// `bdd::Manager`, freed on its worker once the mapped result is captured as
+/// a plain-data `WindowSnapshot` — and stitches those results back together
+/// in a deterministic, topological-order merge. One up-front pass captures each
 /// resynthesis candidate as a self-contained task (a plain-data
 /// `WindowSnapshot`, or a prebuilt clone when a member is too wide for a
 /// truth table), so workers materialize and resynthesize without ever

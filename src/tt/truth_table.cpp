@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
+#include <numeric>
 #include <stdexcept>
 
 namespace hyde::tt {
@@ -235,15 +237,46 @@ TruthTable TruthTable::expand(int new_num_vars,
   if (static_cast<int>(placement.size()) != num_vars_) {
     throw std::invalid_argument("TruthTable::expand: bad placement size");
   }
-  TruthTable r(new_num_vars);
-  for (std::uint64_t m = 0; m < r.size(); ++m) {
-    std::uint64_t small = 0;
-    for (int i = 0; i < num_vars_; ++i) {
-      if ((m >> placement[static_cast<std::size_t>(i)]) & 1) {
-        small |= std::uint64_t{1} << i;
-      }
+  for (std::size_t j = 0; j < placement.size(); ++j) {
+    if (placement[j] < 0 || placement[j] >= new_num_vars) {
+      throw std::invalid_argument("TruthTable::expand: placement out of range");
     }
-    if (bit(small)) r.set_bit(m, true);
+    const auto end = placement.begin() + static_cast<std::ptrdiff_t>(j);
+    const auto same = std::find(placement.begin(), end, placement[j]);
+    if (same == end) continue;
+    // x_j shares x_i's position: keep the diagonal x_j = x_i and drop x_j.
+    const int copy = static_cast<int>(j);
+    const TruthTable xi =
+        var(num_vars_, static_cast<int>(same - placement.begin()));
+    std::vector<int> keep;
+    std::vector<int> rest;
+    for (int v = 0; v < num_vars_; ++v) {
+      if (v == copy) continue;
+      keep.push_back(v);
+      rest.push_back(placement[static_cast<std::size_t>(v)]);
+    }
+    return ((cofactor(copy, true) & xi) | (cofactor(copy, false) & ~xi))
+        .project(keep)
+        .expand(new_num_vars, rest);
+  }
+  // Tile this table across the wider one (variable i at position i), then
+  // move each variable to its place with word-level swaps.
+  TruthTable r(new_num_vars);
+  std::uint64_t word = words_[0];
+  for (int width = 1 << std::min(num_vars_, 6); width < 64; width *= 2) {
+    word |= word << width;
+  }
+  for (std::size_t w = 0; w < r.words_.size(); ++w) {
+    r.words_[w] = num_vars_ >= 6 ? words_[w % words_.size()] : word;
+  }
+  r.mask_tail();
+  std::vector<int> where(placement.size());  // variable -> position
+  std::iota(where.begin(), where.end(), 0);
+  for (std::size_t i = 0; i < where.size(); ++i) {
+    swap_vars_in_place(r.words_.data(), new_num_vars, where[i], placement[i]);
+    // A variable still waiting on the target moves to where x_i was.
+    std::replace(where.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                 where.end(), placement[i], where[i]);
   }
   return r;
 }

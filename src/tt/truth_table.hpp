@@ -99,7 +99,8 @@ class TruthTable {
   TruthTable project(const std::vector<int>& vars) const;
 
   /// Inverse of project: embeds this table into a space of \p new_num_vars
-  /// variables, mapping current variable i to \p placement[i].
+  /// variables, mapping current variable i to \p placement[i] (in range;
+  /// two variables on one position read the same input). Word-level.
   TruthTable expand(int new_num_vars, const std::vector<int>& placement) const;
 
   TruthTable operator~() const;

@@ -8,7 +8,9 @@
 #include <set>
 #include <vector>
 
+#include "core/flow.hpp"
 #include "gtest/gtest.h"
+#include "mapper/lutmap.hpp"
 #include "mcnc/benchmarks.hpp"
 #include "net/blif.hpp"
 #include "net/network.hpp"
@@ -254,6 +256,55 @@ TEST(WindowTest, SnapshotMaterializesTheExactSubnetwork) {
     EXPECT_EQ(net::write_blif_string(from_snapshot),
               net::write_blif_string(from_host));
   }
+}
+
+TEST(WindowTest, NetworkSnapshotRoundTripsCornerCases) {
+  // The windowed engine hands each mapped window back as a snapshot, so a
+  // capture must survive the shapes a mapped network takes: a PO driven
+  // straight by a PI, a constant, one node driving two POs, and a node read
+  // on two pins of one reader.
+  net::Network n("corners");
+  const net::NodeId a = n.add_input("a");
+  const net::NodeId b = n.add_input("b");
+  const net::NodeId c = n.add_input("c");
+  const net::NodeId one = n.add_constant("one", true);
+  const net::NodeId x =
+      n.add_logic_tt("x", {a, b}, tt::TruthTable::from_bits("0110"));
+  const net::NodeId y = n.add_logic_tt("y", {x, x, c, one},
+                                       tt::TruthTable::from_bits(
+                                           "1011001010110010"));
+  n.add_output("pa", a);
+  n.add_output("k", one);
+  n.add_output("y1", y);
+  n.add_output("y2", y);
+  const WindowSnapshot snapshot = snapshot_network(n);
+  EXPECT_EQ(snapshot.input_names.size(), 3u);
+  EXPECT_EQ(snapshot.members.size(), 3u);
+  ASSERT_EQ(snapshot.roots.size(), 4u);
+  EXPECT_EQ(snapshot.roots[0].driver, 0);
+  EXPECT_EQ(snapshot.roots[2].driver, snapshot.roots[3].driver);
+  EXPECT_EQ(net::write_blif_string(materialize_snapshot(snapshot)),
+            net::write_blif_string(n));
+}
+
+TEST(WindowTest, NetworkSnapshotRoundTripsMappedWindows) {
+  // Every mapped window of a wide random netlist, as the engine captures it.
+  const net::Network network = mcnc::random_multilevel(
+      "wide", /*num_inputs=*/24, /*num_outputs=*/6, /*num_nodes=*/200,
+      /*min_arity=*/3, /*max_arity=*/8, /*seed=*/5);
+  int mapped = 0;
+  for (const Window& w : extract_windows(network, WindowOptions{})) {
+    if (!w.needs_resynthesis) continue;
+    core::FlowResult flow =
+        core::run_flow(window_subnetwork(network, w), core::hyde_options(5));
+    mapper::dedup_shared_nodes(flow.network);
+    mapper::collapse_into_fanouts(flow.network, 5);
+    EXPECT_EQ(net::write_blif_string(
+                  materialize_snapshot(snapshot_network(flow.network))),
+              net::write_blif_string(flow.network));
+    ++mapped;
+  }
+  EXPECT_GT(mapped, 4);
 }
 
 TEST(WindowTest, SnapshotRefusesMembersTooWideForATruthTable) {
